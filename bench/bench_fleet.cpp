@@ -14,7 +14,7 @@
 //     emitting one machine-readable line each:
 //
 //   BENCH_JSON {"bench":"fleet","workload":"sr"|"ec"|"rc",...,
-//               "allocs_per_message":...,"commit":...}
+//               "allocs_per_message":...,"events_per_msg":...,"commit":...}
 //
 // The fleet engine allocates per message by design (protocol send/recv
 // state, per-connection arenas are set up beforehand); the figure is
@@ -248,6 +248,11 @@ int main(int argc, char** argv) {
             ? static_cast<double>(allocs) /
                   static_cast<double>(r.messages_completed)
             : 0.0;
+    const double events_per_msg =
+        r.messages_completed > 0
+            ? static_cast<double>(r.sim_events) /
+                  static_cast<double>(r.messages_completed)
+            : 0.0;
     if (r.peak_concurrent < min_peak) min_peak = r.peak_concurrent;
     std::printf("%-3s %4llu endpoints  %5llu msgs  peak %5llu  "
                 "%7.2f Gbit/s  Jain %.3f  p99 %7.1f ms  %s\n",
@@ -265,7 +270,8 @@ int main(int argc, char** argv) {
         "\"goodput_gbps\":%.6f,\"jain\":%.6f,\"p50_ms\":%.6f,"
         "\"p99_ms\":%.6f,\"p999_ms\":%.6f,\"retransmissions\":%llu,"
         "\"trunk_drops\":%llu,\"quiesced\":%s,\"digest\":\"%016llx\","
-        "\"wall_s\":%.6f,\"allocs_per_message\":%.3f,\"commit\":\"%s\"}\n",
+        "\"wall_s\":%.6f,\"allocs_per_message\":%.3f,\"sim_events\":%llu,"
+        "\"events_per_msg\":%.3f,\"commit\":\"%s\"}\n",
         fleet::scheme_name(cfg.scheme),
         static_cast<unsigned long long>(r.endpoints),
         static_cast<unsigned long long>(r.connections),
@@ -279,6 +285,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.trunk_drops),
         r.quiesced ? "true" : "false",
         static_cast<unsigned long long>(r.digest), wall, allocs_per_message,
+        static_cast<unsigned long long>(r.sim_events), events_per_msg,
         kGitCommit);
     if (cfg.scheme != fleet::Scheme::kRc &&
         (r.messages_completed != r.messages_posted ||

@@ -710,7 +710,8 @@ FleetResult FleetEngine::run() {
   // count them as posted when their arrival fires (next_post advances), so
   // tally after the run instead. Collective steps tally as they release.
   kickoff();
-  sim_.run_until(SimTime::from_seconds(cfg_.horizon_s));
+  const std::uint64_t events =
+      sim_.run_until(SimTime::from_seconds(cfg_.horizon_s));
 
   for (const auto& conn : conns_) {
     TenantRollup& roll = conn->is_collective ? rollups_.back()
@@ -720,6 +721,7 @@ FleetResult FleetEngine::run() {
 
   FleetResult out;
   collect(out);
+  out.sim_events = events;
   return out;
 }
 

@@ -117,6 +117,10 @@ struct FleetResult {
   double p99_ms{0.0};
   double p999_ms{0.0};
 
+  /// Simulator events fired by the run: the per-message event cost the
+  /// fleet tests and bench gate, deterministic like the digest.
+  std::uint64_t sim_events{0};
+
   /// True when the event queue drained before the horizon.
   bool quiesced{false};
   /// Thread-local payload-pool live slots after the run (0 when every

@@ -102,7 +102,7 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
       return st;
     }
     msg.parity_handles.push_back(handle);
-    reap(handle);  // parity contexts are destroyed as soon as injected
+    qp_.send_release(handle);  // the QP recycles it once it drains
     stats_.parity_chunks_sent += config_.m;
   }
 
@@ -290,31 +290,26 @@ void EcSender::finish(std::uint64_t base) {
     sub_to_base_.erase(msg.data_handles[s]->msg_number());
     // A stream whose CTS never arrived has everything still queued; the
     // receiver completed without it (parity recovery), so it will never
-    // drain — release it instead of reap-polling it forever.
+    // drain — abort it rather than release it.
     if (!msg.data_handles[s]->cts_ready()) {
       qp_.send_abort(msg.data_handles[s]);
       continue;
     }
     qp_.send_stream_end(msg.data_handles[s]);
-    reap(msg.data_handles[s]);
+    qp_.send_release(msg.data_handles[s]);
   }
   for (std::size_t s = 0; s < msg.submessages; ++s) {
-    // Parity one-shots self-reap once injected; a CTS-less one never will.
-    // A reaped handle may already carry a newer message (the slot pool
-    // recycles), so only touch it if it still holds our number (parity
-    // numbers follow the data numbers: base + submessages + s).
+    // Parity one-shots were released at write(); one whose CTS never came
+    // will never drain, so abort it. A drained one may already have been
+    // recycled and carry a newer message, so only touch a handle that
+    // still holds our number (parity numbers follow the data numbers:
+    // base + submessages + s).
     core::SendHandle* parity = msg.parity_handles[s];
     if (parity->msg_number() != base + msg.submessages + s) continue;
     if (parity->cts_ready()) continue;
     qp_.send_abort(parity);
   }
   if (msg.done) msg.done(Status::ok());
-}
-
-void EcSender::reap(core::SendHandle* handle) {
-  if (qp_.send_poll(handle).code() == StatusCode::kNotReady) {
-    sim_.schedule(SimTime::from_micros(10), [this, handle] { reap(handle); });
-  }
 }
 
 // ---------------------------------------------------------------------------

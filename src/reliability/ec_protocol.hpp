@@ -105,7 +105,6 @@ class EcSender {
   void apply_fallback_ack(MsgState& msg, std::uint64_t base, std::size_t sub,
                           const ControlMessage& ack);
   void finish(std::uint64_t base);
-  void reap(core::SendHandle* handle);
 
   sim::Simulator& sim_;
   core::Qp& qp_;

@@ -299,21 +299,12 @@ void SrSender::finish(std::uint64_t msg_number) {
                                stats_.retransmissions);
   }
   qp_.send_stream_end(msg.handle);
-  reap(msg.handle);
+  qp_.send_release(msg.handle);  // recycled once its packets leave the NIC
   DoneFn done = std::move(msg.done);
   msg.handle = nullptr;
   msg.data = nullptr;
   spare_ = std::move(node);
   if (done) done(Status::ok());
-}
-
-void SrSender::reap(core::SendHandle* handle) {
-  // Poll the handle until the backend confirms injection completed, then it
-  // is recycled; lazy polling keeps completion latency off the ACK path.
-  if (qp_.send_poll(handle).code() == StatusCode::kNotReady) {
-    sim_.schedule(SimTime::from_micros(10),
-                  [this, handle] { reap(handle); });
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -129,7 +129,6 @@ class SrSender {
   void apply_ack(MsgState& msg, const ControlMessage& ack);
   void mark_acked(MsgState& msg, std::size_t chunk);
   void finish(std::uint64_t msg_number);
-  void reap(core::SendHandle* handle);
 
   sim::Simulator& sim_;
   core::Qp& qp_;

@@ -296,8 +296,7 @@ Status Qp::send_post(const std::uint8_t* data, std::size_t length,
   if (Status s = send_stream_start(user_imm, has_user_imm, &h); !s) return s;
   if (Status s = send_stream_continue(h, data, 0, length); !s) {
     // Roll the message context back so the slot is not leaked.
-    h->in_use_ = false;
-    --active_send_count_;
+    recycle(h);
     --send_counter_;
     return s;
   }
@@ -310,13 +309,22 @@ Status Qp::send_poll(SendHandle* handle) {
   if (handle == nullptr || !handle->in_use_) {
     return Status(StatusCode::kInvalidArgument, "invalid send handle");
   }
-  if (!handle->ended_ || !handle->cts_ready_ || !handle->queued_.empty() ||
-      handle->packets_pending_ != 0) {
-    return Status(StatusCode::kNotReady, "");
-  }
+  if (!drained(*handle)) return Status(StatusCode::kNotReady, "");
   // Completed: destroy the message context (one-shot semantics §3.1.2).
-  handle->in_use_ = false;
-  --active_send_count_;
+  recycle(handle);
+  return Status::ok();
+}
+
+Status Qp::send_release(SendHandle* handle) {
+  if (handle == nullptr || !handle->in_use_ || handle->released_) {
+    return Status(StatusCode::kInvalidArgument, "invalid send handle");
+  }
+  if (!handle->ended_) {
+    return Status(StatusCode::kFailedPrecondition,
+                  "end the stream before releasing it");
+  }
+  handle->released_ = true;
+  if (drained(*handle)) recycle(handle);
   return Status::ok();
 }
 
@@ -329,9 +337,13 @@ Status Qp::send_abort(SendHandle* handle) {
                   "send already injecting: drain it through send_poll");
   }
   handle->queued_.clear();
+  recycle(handle);
+  return Status::ok();
+}
+
+void Qp::recycle(SendHandle* handle) {
   handle->in_use_ = false;
   --active_send_count_;
-  return Status::ok();
 }
 
 void Qp::inject(SendHandle* handle, const std::uint8_t* data,
@@ -580,6 +592,9 @@ void Qp::on_control_cqe() {
         h->cts_ready_ = true;
         h->remote_msg_bytes_ = cts.msg_bytes;
         flush_queued(h);
+        // Only a released stream with nothing left to inject drains here;
+        // anything flushed drains through its send completions.
+        if (h->released_ && drained(*h)) recycle(h);
       } else {
         cts_pending_[slot] = PendingCts{cts, true};
       }
@@ -700,7 +715,10 @@ void Qp::on_send_cqe() {
       const std::size_t slot = static_cast<std::size_t>(cqe.wr_id);
       if (slot >= send_handles_.size()) continue;
       SendHandle* h = &send_handles_[slot];
-      if (h->in_use_ && h->packets_pending_ > 0) --h->packets_pending_;
+      if (!h->in_use_ || h->packets_pending_ == 0) continue;
+      --h->packets_pending_;
+      // A released send is recycled by the completion that drains it.
+      if (h->released_ && drained(*h)) recycle(h);
     }
   }
 }

@@ -77,6 +77,7 @@ class SendHandle {
   // push/pop cycles even when the queue never holds more than one element.
   common::RingBuffer<PendingOp> queued_;
   bool in_use_{false};
+  bool released_{false};  // send_release: the QP recycles it once drained
 
   /// Recycle for the next message on this slot without rebuilding the
   /// deque (steady-state message turnover must not touch the allocator).
@@ -93,6 +94,7 @@ class SendHandle {
     remote_msg_bytes_ = 0;
     queued_.clear();
     in_use_ = false;
+    released_ = false;
   }
 };
 
@@ -168,11 +170,18 @@ class Qp {
   /// kOk once all injected packets have left the NIC and the stream has
   /// ended; kNotReady otherwise. A completed handle is recycled.
   Status send_poll(SendHandle* handle);
+  /// Hand an ended send back to the QP instead of polling it: the handle is
+  /// recycled now if it has drained, otherwise by the send completion (or
+  /// CTS flush) that drains it. No event is scheduled either way, and the
+  /// caller must not touch the handle again. kFailedPrecondition if the
+  /// stream has not ended.
+  Status send_release(SendHandle* handle);
   /// Release a send whose injection never started (its CTS never arrived
   /// and the message completed by other means, e.g. EC parity recovery).
   /// Drops the queued ops and recycles the handle. kFailedPrecondition if
   /// packets have already been handed to the NIC — such a send must drain
-  /// through send_poll instead.
+  /// through send_poll or send_release instead. A released handle whose CTS
+  /// never came may still be aborted.
   Status send_abort(SendHandle* handle);
 
   // ---- receive path ----
@@ -238,6 +247,13 @@ class Qp {
   void on_control_cqe();
   void on_data_cqe(std::size_t qp_index);
   void on_send_cqe();
+  /// Ended, CTS arrived, nothing queued, nothing still in the NIC: the
+  /// completion predicate shared by send_poll and send_release.
+  static bool drained(const SendHandle& h) {
+    return h.ended_ && h.cts_ready_ && h.queued_.empty() &&
+           h.packets_pending_ == 0;
+  }
+  void recycle(SendHandle* handle);
   void inject(SendHandle* handle, const std::uint8_t* data,
               std::size_t remote_offset, std::size_t length);
   void flush_queued(SendHandle* handle);

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <limits>
@@ -200,9 +201,12 @@ std::uint32_t Simulator::pop_next(std::uint64_t cap_ns) {
 }
 
 SimTime Simulator::next_deadline_slow(SimTime cap) {
-  const std::uint32_t slot = peek_next(static_cast<std::uint64_t>(cap.ns));
-  if (slot == kNoSlot) return SimTime::max();
-  return SimTime{static_cast<std::int64_t>(cursor_)};
+  const auto cap_ns = static_cast<std::uint64_t>(cap.ns);
+  const bool clipped = cap_ns > run_cap_ns_;
+  const std::uint32_t slot = peek_next(clipped ? run_cap_ns_ : cap_ns);
+  if (slot != kNoSlot) return SimTime{static_cast<std::int64_t>(cursor_)};
+  return clipped ? SimTime{static_cast<std::int64_t>(run_cap_ns_)}
+                 : SimTime::max();
 }
 
 void Simulator::assert_no_deadline_at_or_before([[maybe_unused]] SimTime t) {
@@ -249,6 +253,8 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
   const std::uint64_t cap = static_cast<std::uint64_t>(deadline.ns);
+  const std::uint64_t outer_cap = run_cap_ns_;
+  run_cap_ns_ = std::min(cap, outer_cap);
   for (;;) {
     const std::uint32_t slot = pop_next(cap);
     if (slot == kNoSlot) break;
@@ -256,6 +262,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
     fire(slot);
     ++executed;
   }
+  run_cap_ns_ = outer_cap;
   if (now_ < deadline) now_ = deadline;
   return executed;
 }

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -128,13 +129,17 @@ class Simulator {
   bool step();
 
   /// Earliest pending event time, if it is at or before `cap`; otherwise
-  /// (or when nothing is pending) SimTime::max(). May advance the internal
-  /// wheel position (cascading coarse buckets) up to the returned time —
-  /// work the next pop would have done anyway, so semantics are unchanged.
-  /// The cached lower bound makes repeated probes below the next deadline
-  /// a single compare (the batched-delivery inner loop).
+  /// (or when nothing is pending) SimTime::max(). Inside run_until, a cap
+  /// past its deadline is clipped to it, and the deadline reads as due when
+  /// nothing earlier is pending: the run ends there, so batched delivery
+  /// stops there too. May advance the internal wheel position (cascading
+  /// coarse buckets) up to the returned time — work the next pop would have
+  /// done anyway, so semantics are unchanged. The cached lower bound makes
+  /// repeated probes below the next deadline a single compare (the
+  /// batched-delivery inner loop).
   SimTime next_deadline(SimTime cap) {
-    if (static_cast<std::uint64_t>(cap.ns) < min_bound_) return SimTime::max();
+    const auto cap_ns = static_cast<std::uint64_t>(cap.ns);
+    if (cap_ns < min_bound_ && cap_ns <= run_cap_ns_) return SimTime::max();
     return next_deadline_slow(cap);
   }
 
@@ -251,6 +256,11 @@ class Simulator {
   /// Raised by peek scans, lowered by schedule_at; lets the batched
   /// delivery loop's next_deadline() probes short-circuit to one compare.
   std::uint64_t min_bound_{0};
+  /// The running run_until's deadline (max outside one). Probes never move
+  /// the cursor past it; otherwise an event scheduled after run_until
+  /// returns, between its deadline and the probed cursor, would be linked
+  /// behind the cursor and never fire.
+  std::uint64_t run_cap_ns_{std::numeric_limits<std::uint64_t>::max()};
   std::uint64_t occupancy_[kWheelLevels]{};
   Bucket buckets_[kWheelLevels * kWheelSlots];
   OverflowHeap overflow_;

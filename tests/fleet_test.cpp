@@ -121,6 +121,7 @@ TEST_P(FleetSchemeTest, SerialEqualsThreadedDigest) {
   EXPECT_EQ(serial.peak_concurrent, threaded.peak_concurrent);
   EXPECT_EQ(serial.retransmissions, threaded.retransmissions);
   EXPECT_EQ(serial.trunk_drops, threaded.trunk_drops);
+  EXPECT_EQ(serial.sim_events, threaded.sim_events);
   EXPECT_DOUBLE_EQ(serial.p999_ms, threaded.p999_ms);
 }
 
@@ -136,6 +137,26 @@ TEST(FleetTest, DifferentSeedsDifferentDigests) {
   FleetConfig b = a;
   b.seed = a.seed + 1;
   EXPECT_NE(run_fleet(a).digest, run_fleet(b).digest);
+}
+
+TEST(FleetTest, EcFiresAtMostTwiceSrEventsPerMessage) {
+  // Reliability layers are completion-driven: no send handle is polled on
+  // a timer, so EC's extra parity submessages cost at most a small constant
+  // factor in simulator events over SR, not a fixed-pace polling train
+  // that runs for an RTT per handle. The event count is deterministic, so
+  // this is an exact gate.
+  const FleetResult sr = run_fleet(small_config(Scheme::kSr));
+  const FleetResult ec = run_fleet(small_config(Scheme::kEc));
+  ASSERT_GT(sr.messages_completed, 0u);
+  ASSERT_GT(ec.messages_completed, 0u);
+  const double sr_per_msg = static_cast<double>(sr.sim_events) /
+                            static_cast<double>(sr.messages_completed);
+  const double ec_per_msg = static_cast<double>(ec.sim_events) /
+                            static_cast<double>(ec.messages_completed);
+  EXPECT_GT(sr_per_msg, 0.0);
+  EXPECT_LE(ec_per_msg, 2.0 * sr_per_msg)
+      << "EC " << ec_per_msg << " vs SR " << sr_per_msg
+      << " simulator events per completed message";
 }
 
 TEST(FleetTest, LossyLongHaulStillCompletesEverything) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sdr/sdr.hpp"
@@ -361,6 +362,155 @@ TEST_F(SdrFixture, ApiMisuseErrors) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(qp_a_->send_poll(nullptr).code(), StatusCode::kInvalidArgument);
 }
+
+// send_release: the QP recycles a released send from the completion that
+// drains it, with nothing polling. Both data transports (UC Write-with-
+// immediate and UD) share the send path, so both must behave the same.
+// Ownership is observed through send_poll, which returns kNotReady for a
+// handle still in flight and kInvalidArgument for a recycled one.
+class SendReleaseTest : public SdrFixture,
+                        public ::testing::WithParamInterface<Transport> {
+ protected:
+  void SetUp() override {
+    QpAttr attr = test_attr();
+    attr.transport = GetParam();
+    wire(0.0, 0.0, attr);
+  }
+};
+
+TEST_P(SendReleaseTest, DrainedHandleIsRecycledImmediately) {
+  const auto src = pattern(8192, 5);
+  std::vector<std::uint8_t> dst(8192, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), dst.size(), mr, &rh).is_ok());
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), src.size(), 0, false, &sh).is_ok());
+  sim_.run();
+  ASSERT_TRUE(qp_b_->recv_done(rh));
+  ASSERT_EQ(sh->packets_pending(), 0u);
+
+  ASSERT_TRUE(qp_a_->send_release(sh).is_ok());
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(sim_.empty());  // recycled on the spot, nothing scheduled
+}
+
+TEST_P(SendReleaseTest, ReleasedBeforeCtsIsRecycledByTheDrainingCqe) {
+  const std::size_t max_inflight = test_attr().max_inflight;
+  const std::size_t len = 8192;
+  const auto src = pattern(len, 9);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+
+  SendHandle* first = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), len, 0, false, &first).is_ok());
+  ASSERT_TRUE(qp_a_->send_release(first).is_ok());
+  // Occupy every other slot, so message n + max_inflight maps onto the
+  // released handle's slot.
+  for (std::size_t i = 1; i < max_inflight; ++i) {
+    SendHandle* open = nullptr;
+    ASSERT_TRUE(qp_a_->send_stream_start(0, false, &open).is_ok());
+  }
+  SendHandle* wrapped = nullptr;
+  EXPECT_EQ(qp_a_->send_stream_start(0, false, &wrapped).code(),
+            StatusCode::kResourceExhausted);
+
+  // No receive posted yet: nothing polls the released handle, so the event
+  // queue drains while it stays in use.
+  sim_.run();
+  EXPECT_TRUE(sim_.empty());
+  EXPECT_EQ(qp_a_->send_poll(first).code(), StatusCode::kNotReady);
+
+  // The CTS flushes the queued op; the send completion that brings
+  // packets_pending to zero is the event that recycles the handle.
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), len, mr, &rh).is_ok());
+  while (first->packets_injected() == 0 || first->packets_pending() != 0) {
+    EXPECT_EQ(qp_a_->send_poll(first).code(), StatusCode::kNotReady);
+    ASSERT_TRUE(sim_.step());
+  }
+  EXPECT_EQ(qp_a_->send_poll(first).code(), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &wrapped).is_ok());
+  EXPECT_EQ(wrapped->msg_number(), max_inflight);
+  EXPECT_EQ(wrapped->slot(), 0u);
+
+  sim_.run();
+  EXPECT_TRUE(qp_b_->recv_done(rh));
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+}
+
+TEST_P(SendReleaseTest, EmptyReleasedStreamIsRecycledByItsCts) {
+  // Nothing to flush: the CTS itself drains the stream.
+  std::vector<std::uint8_t> dst(4096, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_stream_end(sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_release(sh).is_ok());
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
+
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), dst.size(), mr, &rh).is_ok());
+  sim_.run();
+  EXPECT_TRUE(sh->cts_ready());
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_P(SendReleaseTest, UnendedStreamIsRejected) {
+  const auto src = pattern(4096);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_stream_start(0, false, &sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_stream_continue(sh, src.data(), 0, 4096).is_ok());
+  EXPECT_EQ(qp_a_->send_release(sh).code(), StatusCode::kFailedPrecondition);
+  // Still owned by the caller, and releasable once ended.
+  ASSERT_TRUE(qp_a_->send_stream_end(sh).is_ok());
+  EXPECT_TRUE(qp_a_->send_release(sh).is_ok());
+}
+
+TEST_P(SendReleaseTest, NullOrRecycledHandleIsInvalid) {
+  EXPECT_EQ(qp_a_->send_release(nullptr).code(),
+            StatusCode::kInvalidArgument);
+
+  const auto src = pattern(4096);
+  std::vector<std::uint8_t> dst(4096, 0);
+  const auto* mr = ctx_b_->mr_reg(dst.data(), dst.size());
+  RecvHandle* rh = nullptr;
+  ASSERT_TRUE(qp_b_->recv_post(dst.data(), dst.size(), mr, &rh).is_ok());
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), src.size(), 0, false, &sh).is_ok());
+  sim_.run();
+  ASSERT_TRUE(qp_a_->send_poll(sh).is_ok());  // recycled by the poll
+  EXPECT_EQ(qp_a_->send_release(sh).code(), StatusCode::kInvalidArgument);
+
+  // A released handle still in flight belongs to the QP: a second release
+  // is rejected too.
+  SendHandle* pending = nullptr;
+  ASSERT_TRUE(
+      qp_a_->send_post(src.data(), src.size(), 0, false, &pending).is_ok());
+  ASSERT_TRUE(qp_a_->send_release(pending).is_ok());
+  EXPECT_EQ(qp_a_->send_release(pending).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_P(SendReleaseTest, AbortRecyclesAReleasedHandleWhoseCtsNeverCame) {
+  const auto src = pattern(4096);
+  SendHandle* sh = nullptr;
+  ASSERT_TRUE(qp_a_->send_post(src.data(), src.size(), 0, false, &sh).is_ok());
+  ASSERT_TRUE(qp_a_->send_release(sh).is_ok());
+  sim_.run();
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kNotReady);
+  EXPECT_TRUE(qp_a_->send_abort(sh).is_ok());
+  EXPECT_EQ(qp_a_->send_poll(sh).code(), StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, SendReleaseTest,
+                         ::testing::Values(Transport::kUc, Transport::kUd),
+                         [](const auto& info) {
+                           return std::string(info.param == Transport::kUc
+                                                  ? "UcWrite"
+                                                  : "Ud");
+                         });
 
 TEST_F(SdrFixture, MultiChannelDistributesTraffic) {
   QpAttr attr = test_attr();

@@ -300,6 +300,28 @@ TEST(SimulatorTest, NextDeadlineProbeAndAdvanceNow) {
   EXPECT_EQ(sim.next_deadline(SimTime{1 << 30}), SimTime::max());
 }
 
+TEST(SimulatorTest, ProbePastRunUntilDeadlineDoesNotStrandLaterEvents) {
+  // A handler probing beyond the run's deadline (as batched channel
+  // delivery does) must not move the wheel past it: an event scheduled
+  // after run_until returns, between the deadline and the next pending
+  // event, has to fire in order and not sit stranded behind the cursor.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(SimTime{1000}, [&] {
+    EXPECT_EQ(sim.next_deadline(SimTime{5000}).ns, 2000);  // clipped
+  });
+  sim.schedule_at(SimTime{3000}, [&] { order.push_back(3000); });
+  EXPECT_EQ(sim.run_until(SimTime{2000}), 1u);
+  sim.schedule_at(SimTime{2500}, [&] { order.push_back(2500); });
+  EXPECT_EQ(sim.run_until(SimTime{2600}), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{2500, 3000}));
+  EXPECT_TRUE(sim.empty());
+  // Outside run_until nothing is clipped.
+  sim.schedule_at(SimTime{9000}, [] {});
+  EXPECT_EQ(sim.next_deadline(SimTime{20000}).ns, 9000);
+}
+
 // ---------------------------------------------------------------------------
 // Drop models
 // ---------------------------------------------------------------------------
@@ -414,6 +436,30 @@ TEST(ChannelTest, BackToBackPacketsQueueOnTheWire) {
   const double ser = injection_time_s(125000, 100 * Gbps);
   EXPECT_NEAR(arrivals[1] - arrivals[0], ser, 1e-12);
   EXPECT_NEAR(arrivals[2] - arrivals[1], ser, 1e-12);
+}
+
+TEST(ChannelTest, BatchedDeliveryStopsAtRunUntilDeadline) {
+  // Back-to-back packets arrive one serialization time apart; the batched
+  // drain must not deliver the second one inside a run_until whose deadline
+  // falls between the two arrivals.
+  Simulator sim;
+  Channel ch(sim, test_channel_config(), std::make_unique<IidDrop>(0.0));
+  std::vector<std::int64_t> arrivals;
+  ch.set_receiver([&](Packet&&) { arrivals.push_back(sim.now().ns); });
+  for (int i = 0; i < 2; ++i) {
+    Packet p;
+    p.bytes = 125000;  // 10 us apart at 100 Gbit/s
+    ch.send(std::move(p));
+  }
+  const SimTime first = SimTime::from_seconds(
+      injection_time_s(125000, 100 * Gbps) + propagation_delay_s(350.0));
+  const SimTime deadline = first + SimTime::from_micros(5);
+  sim.run_until(deadline);
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(sim.now(), deadline);
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_GT(arrivals[1], deadline.ns);
 }
 
 TEST(ChannelTest, DropsMatchConfiguredRate) {
