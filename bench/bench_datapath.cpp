@@ -6,7 +6,7 @@
 // (for the lossy workloads) the RC retransmit queue and the SR reliability
 // protocol on top.
 //
-// Three workloads:
+// Four workloads:
 //   * sdr_clean    — pipelined SDR messages (CTS + one UC Write-with-imm
 //                    per MTU packet) over a clean 400 Gbit/s link. The
 //                    zero-allocation steady-state target lives here.
@@ -15,6 +15,9 @@
 //   * sdr_lossy_sr — a ReliableChannel (SR RTO scheme) carrying messages
 //                    over a 1e-3 lossy link: the paper's full software-
 //                    defined reliability stack end to end.
+//   * sdr_lossy_ec — the same channel and link under EC (RS(4,2)): parity
+//                    encode, parity-assisted decode and the EC ACK path.
+//                    Packets count data plus parity.
 //
 // Each workload emits one machine-readable line:
 //
@@ -299,14 +302,19 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 3: the full software-defined reliability stack — a
-// ReliableChannel (SR RTO) carrying pipelined messages over a 1e-3 lossy
-// link. Allocations per packet here include the SR sender/receiver message
-// state, ACK wire messages and retransmission timers; the figure is
-// reported honestly rather than forced to zero.
+// Workloads 3 and 4: the full software-defined reliability stack — a
+// ReliableChannel carrying closed-loop 1 MiB messages over a 1e-3 lossy
+// link, under SR (RTO scheme) or EC (RS(4,2) on 64 KiB chunks). Every
+// packet of the protocol's own state — SR message state, ACK wire
+// messages and retransmission timers; EC parity encode, pooled parity
+// buffers, decode and the final-ACK repeats — is inside the measured
+// steady state, which must not allocate.
 // ---------------------------------------------------------------------------
-Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
-  if (telemetry::spanning()) telemetry::spans().track("sdr_lossy_sr");
+Measured run_reliable_lossy(const char* workload,
+                            reliability::ReliableChannel::Kind kind,
+                            int iterations, int warmup,
+                            std::size_t msg_bytes) {
+  if (telemetry::spanning()) telemetry::spans().track(workload);
   sim::Simulator sim;
   sim::Channel::Config cfg;
   cfg.bandwidth_bps = 100 * Gbps;
@@ -315,7 +323,7 @@ Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
   verbs::NicPair nics = verbs::make_connected_pair(sim, cfg, 1e-3, 0.0);
 
   reliability::ReliableChannel::Options options;
-  options.kind = reliability::ReliableChannel::Kind::kSrRto;
+  options.kind = kind;
   options.profile.bandwidth_bps = cfg.bandwidth_bps;
   options.profile.rtt_s = rtt_s(cfg.distance_km);
   options.profile.p_drop_packet = 1e-3;
@@ -325,13 +333,24 @@ Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
   options.attr.chunk_size = 64 * KiB;
   options.attr.max_msg_size = std::max<std::size_t>(msg_bytes, 64 * KiB);
   options.attr.max_inflight = 32;
+  // Wire packets per data packet: EC adds m parity chunks per k data.
+  double wire_factor = 1.0;
+  if (kind == reliability::ReliableChannel::Kind::kEcMds) {
+    options.ec.k = 4;
+    options.ec.m = 2;
+    // Each data and parity submessage is an SDR message of its own.
+    options.attr.max_msg_size = options.ec.k * options.attr.chunk_size;
+    wire_factor += static_cast<double>(options.ec.m) /
+                   static_cast<double>(options.ec.k);
+  }
   options.derive_timeouts();
   reliability::ReliableChannel channel(sim, *nics.a, *nics.b, options);
 
   std::vector<std::uint8_t> src(msg_bytes, 0xC3);
   std::vector<std::uint8_t> dst(msg_bytes, 0);
 
-  const std::uint64_t pkts_per_msg = msg_bytes / options.attr.mtu;
+  const auto pkts_per_msg = static_cast<std::uint64_t>(
+      static_cast<double>(msg_bytes / options.attr.mtu) * wire_factor);
 
   // The driver state lives in one struct so the per-message completion
   // closure captures a single pointer: it stays inside std::function's
@@ -370,7 +389,7 @@ Measured run_sdr_lossy_sr(int iterations, int warmup, std::size_t msg_bytes) {
   const std::uint64_t allocs = g_allocs.load() - driver.allocs_at_steady;
 
   if (driver.completed != iterations) {
-    std::fprintf(stderr, "sdr_lossy_sr: only %d/%d messages completed\n",
+    std::fprintf(stderr, "%s: only %d/%d messages completed\n", workload,
                  driver.completed, iterations);
     std::exit(1);
   }
@@ -418,8 +437,18 @@ int main(int argc, char** argv) {
   {
     const int iters = scaled(256, 72);
     const int warmup = std::max(iters / 8, 40);
-    const sdr::Measured m = sdr::run_sdr_lossy_sr(iters, warmup, 1 * sdr::MiB);
+    const sdr::Measured m = sdr::run_reliable_lossy(
+        "sdr_lossy_sr", sdr::reliability::ReliableChannel::Kind::kSrRto,
+        iters, warmup, 1 * sdr::MiB);
     sdr::report("sdr_lossy_sr", m);
+  }
+  {
+    const int iters = scaled(256, 72);
+    const int warmup = std::max(iters / 8, 40);
+    const sdr::Measured m = sdr::run_reliable_lossy(
+        "sdr_lossy_ec", sdr::reliability::ReliableChannel::Kind::kEcMds,
+        iters, warmup, 1 * sdr::MiB);
+    sdr::report("sdr_lossy_ec", m);
   }
   return 0;
 }

@@ -57,11 +57,17 @@ GfMatrix GfMatrix::multiply(const GfMatrix& other) const {
 }
 
 bool GfMatrix::invert(GfMatrix& out) const {
+  GfMatrix work;
+  return invert(out, work);
+}
+
+bool GfMatrix::invert(GfMatrix& out, GfMatrix& work) const {
   assert(rows_ == cols_);
   const Gf256& gf = Gf256::instance();
   const std::size_t n = rows_;
-  GfMatrix work = *this;
-  out = identity(n);
+  work = *this;
+  out.assign_zero(n, n);
+  for (std::size_t i = 0; i < n; ++i) out.at(i, i) = 1;
 
   for (std::size_t col = 0; col < n; ++col) {
     // Find a pivot.

@@ -42,8 +42,18 @@ class GfMatrix {
 
   GfMatrix multiply(const GfMatrix& other) const;
 
+  /// Reshape to rows x cols, all zero, reusing the storage.
+  void assign_zero(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0);
+  }
+
   /// Gauss-Jordan inverse. Returns false if the matrix is singular.
   bool invert(GfMatrix& out) const;
+  /// Same, eliminating in the caller's `work` matrix: with `out` and `work`
+  /// reused across calls, a warmed-up inversion allocates nothing.
+  bool invert(GfMatrix& out, GfMatrix& work) const;
 
   /// Select a subset of rows into a new matrix.
   GfMatrix select_rows(const std::vector<std::size_t>& indices) const;

@@ -20,6 +20,17 @@ constexpr std::size_t kParallelThreshold = 256 * 1024;
 constexpr std::size_t kCacheBlock = 4096;
 /// k + m <= 256, so fixed stack arrays cover every legal geometry.
 constexpr std::size_t kMaxBlocks = 256;
+
+/// Decode matrices, per thread: codecs are shared across sweep threads, so
+/// the workspace cannot live in the codec. It grows to the largest k the
+/// thread has decoded, after which a decode allocates nothing.
+struct DecodeScratch {
+  GfMatrix selection;
+  GfMatrix work;
+  GfMatrix inverse;
+  std::vector<std::uint8_t> coeff_by_source;
+};
+thread_local DecodeScratch t_decode;
 }  // namespace
 
 ReedSolomon::ReedSolomon(std::size_t k, std::size_t m) : k_(k), m_(m) {
@@ -114,22 +125,25 @@ bool ReedSolomon::decode_with(const GfKernels& kernels,
   if (!can_recover(present)) return false;
 
   // Which data blocks are missing?
-  std::vector<std::size_t> missing_data;
+  std::size_t missing_data[kMaxBlocks];
+  std::size_t miss = 0;
   for (std::size_t i = 0; i < k_; ++i) {
-    if (!present[i]) missing_data.push_back(i);
+    if (!present[i]) missing_data[miss++] = i;
   }
-  if (missing_data.empty()) return true;  // nothing to do
+  if (miss == 0) return true;  // nothing to do
 
   // Pick k present blocks (prefer data blocks: identity rows make the
   // decode matrix sparser and the row selection cheaper to invert).
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k_);
-  for (std::size_t i = 0; i < k_ + m_ && chosen.size() < k_; ++i) {
-    if (present[i]) chosen.push_back(i);
+  std::size_t chosen[kMaxBlocks];
+  std::size_t n_chosen = 0;
+  for (std::size_t i = 0; i < k_ + m_ && n_chosen < k_; ++i) {
+    if (present[i]) chosen[n_chosen++] = i;
   }
 
   // Build the k x k matrix mapping data -> chosen blocks and invert it.
-  GfMatrix selection(k_, k_);
+  DecodeScratch& scratch = t_decode;
+  GfMatrix& selection = scratch.selection;
+  selection.assign_zero(k_, k_);
   for (std::size_t r = 0; r < k_; ++r) {
     const std::size_t src = chosen[r];
     if (src < k_) {
@@ -140,8 +154,10 @@ bool ReedSolomon::decode_with(const GfKernels& kernels,
       }
     }
   }
-  GfMatrix inverse;
-  if (!selection.invert(inverse)) return false;  // cannot happen for Cauchy
+  GfMatrix& inverse = scratch.inverse;
+  if (!selection.invert(inverse, scratch.work)) {
+    return false;  // cannot happen for Cauchy
+  }
 
   // Reconstruct every missing data block in one fused cache-blocked solve:
   //   data[d] = sum_r inverse[d][r] * blocks[chosen[r]]
@@ -149,8 +165,9 @@ bool ReedSolomon::decode_with(const GfKernels& kernels,
   // sub-range while accumulating into all missing rows. A zero coefficient
   // in mul_set zero-fills and the multi kernel skips zero rows, so the
   // result matches the old skip-zeroes formulation byte for byte.
-  const std::size_t miss = missing_data.size();
-  std::vector<std::uint8_t> coeff_by_source(k_ * miss);
+  std::vector<std::uint8_t>& coeff_by_source = scratch.coeff_by_source;
+  coeff_by_source.reserve(k_ * m_);  // miss <= m: one growth per k
+  coeff_by_source.resize(k_ * miss);
   for (std::size_t r = 0; r < k_; ++r) {
     for (std::size_t j = 0; j < miss; ++j) {
       coeff_by_source[r * miss + j] = inverse.at(missing_data[j], r);

@@ -41,7 +41,9 @@ class ReedSolomon final : public ErasureCodec {
   /// The fused cache-blocked pass reads each source block once per 4 KiB
   /// range while accumulating into all m parity rows (encode) or all
   /// missing data rows (decode), so the kernel always sees long contiguous
-  /// runs. Allocation-free on the encode path.
+  /// runs. Encode never allocates; decode keeps its matrices in a
+  /// per-thread workspace, so it stops allocating once the calling thread
+  /// has decoded at this k.
   void encode_with(const GfKernels& kernels,
                    std::span<const std::uint8_t* const> data,
                    std::span<std::uint8_t* const> parity,

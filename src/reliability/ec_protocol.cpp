@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -21,8 +22,17 @@ EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
       profile_(profile),
       codec_(codec),
       config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
+      chunk_bytes_(qp.attr().chunk_size),
+      slots_(qp.attr().max_inflight),
+      ack_words_(bitmap_words(config_.k)),
+      subs_(slots_),
+      acked_(slots_ * ack_words_),
+      timers_(slots_ * config_.k),
+      data_blocks_(config_.k),
+      parity_blocks_(config_.m) {
   assert(codec_.k() == config_.k && codec_.m() == config_.m);
+  nodes_.reserve(slots_ / 2);
+  free_nodes_.reserve(slots_ / 2);
   control_.set_receiver(
       [this](const std::uint8_t* d, std::size_t n) { on_control(d, n); });
   if (telemetry::enabled()) register_metrics();
@@ -37,48 +47,77 @@ void EcSender::register_metrics() {
   tele_.bind_counter("fallback_retransmissions",
                      &stats_.fallback_retransmissions);
   tele_.bind_counter("ec_nacks", &stats_.ec_nacks);
-  tele_.bind_gauge("inflight_messages", [this] {
-    return static_cast<double>(messages_.size());
-  });
+  tele_.bind_gauge("inflight_messages",
+                   [this] { return static_cast<double>(inflight_); });
   msg_completion_hist_ = tele_.histogram("msg_completion_s", 1e-6, 1e3);
+}
+
+EcSender::MsgState* EcSender::owner(std::uint64_t number) {
+  const SubState& sub = subs_[slot_of(number)];
+  if (sub.number != number || sub.msg >= nodes_.size()) return nullptr;
+  MsgState& msg = nodes_[sub.msg];
+  const bool ours = msg.live && number >= msg.base &&
+                    number < msg.base + msg.submessages;
+  return ours ? &msg : nullptr;
 }
 
 Status EcSender::write(const std::uint8_t* data, std::size_t length,
                        DoneFn done) {
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
+  const std::size_t parity_sub_bytes = config_.m * chunk_bytes_;
   if (data == nullptr || length == 0 || length % sub_bytes != 0) {
     return Status(StatusCode::kInvalidArgument,
                   "EC write length must be a whole number of submessages "
                   "(k * chunk_size)");
   }
+  if (std::max(sub_bytes, parity_sub_bytes) > qp_.attr().max_msg_size) {
+    return Status(StatusCode::kOutOfRange,
+                  "EC submessage exceeds the maximum message size");
+  }
+  if (!qp_.connected()) {
+    return Status(StatusCode::kNotConnected, "connect first");
+  }
   const std::size_t L = length / sub_bytes;
+  // Every post below must succeed once the first has: order-based matching
+  // cannot skip a message number, and a posted parity one-shot reads its
+  // buffer until it drains.
+  if (!qp_.send_slots_free(2 * L)) {
+    return Status(StatusCode::kResourceExhausted,
+                  "message table full: wait for earlier EC messages");
+  }
 
-  MsgState msg;
-  msg.data = data;
-  msg.length = length;
-  msg.submessages = L;
-  msg.write_at_s = sim_.now().seconds();
-  msg.done = std::move(done);
-  msg.parity.resize(L * config_.m * chunk_bytes_);
-  msg.timers.assign(L, {});
-  msg.acked.assign(L, Bitmap{});
-  msg.sub_done.assign(L, false);
+  ParityBuffer parity;
+  std::swap(parity, spare_parity_);
+  if (parity.capacity < L * parity_sub_bytes) {
+    parity.capacity = L * parity_sub_bytes;
+    parity.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(
+        parity.capacity);
+  }
+  std::uint8_t* const parity_bytes = parity.bytes.get();
 
   // Encode all parity submessages. In a deployment this overlaps with data
   // injection on spare cores (paper §4.1.2); in virtual time it is free —
   // the real encode cost is measured by bench_fig11_ec_encode.
-  std::vector<const std::uint8_t*> data_blocks(config_.k);
-  std::vector<std::uint8_t*> parity_blocks(config_.m);
   for (std::size_t s = 0; s < L; ++s) {
     for (std::size_t j = 0; j < config_.k; ++j) {
-      data_blocks[j] = data + (s * config_.k + j) * chunk_bytes_;
+      data_blocks_[j] = data + (s * config_.k + j) * chunk_bytes_;
     }
     for (std::size_t t = 0; t < config_.m; ++t) {
-      parity_blocks[t] = msg.parity.data() + (s * config_.m + t) * chunk_bytes_;
+      parity_blocks_[t] = parity_bytes + (s * config_.m + t) * chunk_bytes_;
     }
-    codec_.encode(std::span<const std::uint8_t* const>(data_blocks),
-                  std::span<std::uint8_t* const>(parity_blocks),
+    codec_.encode(std::span<const std::uint8_t* const>(data_blocks_),
+                  std::span<std::uint8_t* const>(parity_blocks_),
                   chunk_bytes_);
+  }
+
+  std::uint32_t node = 0;
+  if (free_nodes_.empty()) {
+    assert(nodes_.size() < nodes_.capacity());  // never reallocates
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    node = free_nodes_.back();
+    free_nodes_.pop_back();
   }
 
   // Data submessages: streaming sends, kept open for potential fallback
@@ -86,41 +125,53 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   std::uint64_t base = 0;
   for (std::size_t s = 0; s < L; ++s) {
     core::SendHandle* handle = nullptr;
-    if (Status st = qp_.send_stream_start(0, false, &handle); !st) return st;
+    [[maybe_unused]] const Status st =
+        qp_.send_stream_start(0, false, &handle);
+    assert(st.is_ok());
     if (s == 0) base = handle->msg_number();
     qp_.send_stream_continue(handle, data + s * sub_bytes, 0, sub_bytes);
-    msg.data_handles.push_back(handle);
-    sub_to_base_[handle->msg_number()] = base;
+    SubState& sub = subs_[handle->slot()];
+    sub.number = handle->msg_number();
+    sub.data = handle;
+    sub.msg = node;
+    sub.done = false;
+    sub.in_fallback = false;
     stats_.data_chunks_sent += config_.k;
   }
   // Parity submessages: one-shot sends (never retransmitted).
   for (std::size_t s = 0; s < L; ++s) {
     core::SendHandle* handle = nullptr;
-    if (Status st = qp_.send_post(msg.parity.data() + s * config_.m * chunk_bytes_,
-                                  config_.m * chunk_bytes_, 0, false, &handle);
-        !st) {
-      return st;
-    }
-    msg.parity_handles.push_back(handle);
+    [[maybe_unused]] const Status st =
+        qp_.send_post(parity_bytes + s * parity_sub_bytes, parity_sub_bytes,
+                      0, false, &handle);
+    assert(st.is_ok());
+    subs_[slot_of(base + s)].parity = handle;
     qp_.send_release(handle);  // the QP recycles it once it drains
     stats_.parity_chunks_sent += config_.m;
   }
 
+  MsgState& msg = nodes_[node];
+  msg.base = base;
+  msg.live = true;
+  msg.data = data;
+  msg.submessages = L;
+  msg.write_at_s = sim_.now().seconds();
+  msg.parity = std::move(parity);
+  msg.done = std::move(done);
+  ++inflight_;
   ++stats_.messages;
   if (telemetry::flight_recording()) {
     telemetry::flight().record(telemetry::FlightLayer::kEc,
                                qp_.control_qp_num(), "write", sim_.now(), base,
                                length, L);
   }
-  messages_.emplace(base, std::move(msg));
   return Status::ok();
 }
 
 void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto parsed = decode_control(data, length);
-  if (!parsed) return;
-  const ControlMessage& ctl = *parsed;
+  if (!decode_control(data, length, ctrl_scratch_)) return;
+  const ControlMessage& ctl = ctrl_scratch_;
 
   switch (ctl.type) {
     case ControlType::kEcAck: {
@@ -128,21 +179,18 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
       break;
     }
     case ControlType::kEcNack: {
-      const auto it = messages_.find(ctl.msg_number);
-      if (it == messages_.end()) return;
+      MsgState* msg = find(ctl.msg_number);
+      if (msg == nullptr) return;
       ++stats_.ec_nacks;
-      enter_fallback(it->second, ctl.msg_number, ctl.indices);
+      enter_fallback(*msg, ctl.indices);
       break;
     }
     case ControlType::kSrAck: {
       // Fallback per-submessage ACK: msg_number is the submessage's own.
-      const auto bit = sub_to_base_.find(ctl.msg_number);
-      if (bit == sub_to_base_.end()) return;
-      const std::uint64_t base = bit->second;
-      const auto it = messages_.find(base);
-      if (it == messages_.end()) return;
-      const std::size_t sub = static_cast<std::size_t>(ctl.msg_number - base);
-      apply_fallback_ack(it->second, base, sub, ctl);
+      MsgState* msg = owner(ctl.msg_number);
+      if (msg == nullptr) return;
+      apply_fallback_ack(
+          *msg, static_cast<std::size_t>(ctl.msg_number - msg->base), ctl);
       break;
     }
     default:
@@ -150,11 +198,14 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
   }
 }
 
-void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
+void EcSender::enter_fallback(MsgState& msg,
                               const std::vector<std::uint32_t>& failed) {
+  const std::uint64_t base = msg.base;
   for (std::uint32_t sub : failed) {
-    if (sub >= msg.submessages || msg.sub_done[sub]) continue;
-    if (!msg.timers[sub].empty()) continue;  // already in fallback
+    if (sub >= msg.submessages) continue;
+    const std::size_t slot = slot_of(base + sub);
+    SubState& state = subs_[slot];
+    if (state.done || state.in_fallback) continue;
     if (telemetry::tracing()) {
       telemetry::tracer().emit(sim_.now(),
                                telemetry::TraceEventType::kEcFallback, 0,
@@ -170,84 +221,81 @@ void EcSender::enter_fallback(MsgState& msg, std::uint64_t base,
                                  qp_.control_qp_num(), "enter_fallback",
                                  sim_.now(), base, sub, config_.k);
     }
-    msg.acked[sub].resize(config_.k);
-    msg.timers[sub].assign(config_.k, sim::EventId{});
-    ++msg.subs_pending_fallback;
+    state.in_fallback = true;
+    state.acked_count = 0;
+    std::fill_n(acked_words(slot), ack_words_, 0);
+    std::fill_n(timers(slot), config_.k, sim::EventId{});
     for (std::size_t c = 0; c < config_.k; ++c) {
-      fallback_send(msg, base, sub, c, /*retransmission=*/true);
+      fallback_send(msg, sub, c);
       arm_fallback_timer(base, sub, c);
     }
   }
 }
 
-void EcSender::fallback_send(MsgState& msg, std::uint64_t base,
-                             std::size_t sub, std::size_t chunk,
-                             bool retransmission) {
-  (void)base;
+void EcSender::fallback_send(const MsgState& msg, std::size_t sub,
+                             std::size_t chunk) {
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   const std::uint8_t* src = msg.data + sub * sub_bytes + chunk * chunk_bytes_;
-  qp_.send_stream_continue(msg.data_handles[sub], src, chunk * chunk_bytes_,
-                           chunk_bytes_);
-  if (retransmission) {
-    ++stats_.fallback_retransmissions;
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(sim_.now(),
-                               telemetry::TraceEventType::kRetransmit, 0,
-                               msg.data_handles[sub]->msg_number(),
-                               static_cast<std::uint32_t>(chunk),
-                               telemetry::kNoImm, chunk_bytes_);
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_retransmit(sim_.now(),
-                                       msg.data_handles[sub]->msg_number(),
-                                       static_cast<std::uint32_t>(chunk),
-                                       chunk_bytes_);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "retransmit",
-                                 sim_.now(),
-                                 msg.data_handles[sub]->msg_number(), sub,
-                                 chunk);
-    }
+  core::SendHandle* handle = subs_[slot_of(msg.base + sub)].data;
+  qp_.send_stream_continue(handle, src, chunk * chunk_bytes_, chunk_bytes_);
+  ++stats_.fallback_retransmissions;
+  if (telemetry::tracing()) {
+    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRetransmit,
+                             0, handle->msg_number(),
+                             static_cast<std::uint32_t>(chunk),
+                             telemetry::kNoImm, chunk_bytes_);
+  }
+  if (telemetry::spanning()) {
+    telemetry::spans().on_retransmit(sim_.now(), handle->msg_number(),
+                                     static_cast<std::uint32_t>(chunk),
+                                     chunk_bytes_);
+  }
+  if (telemetry::flight_recording()) {
+    telemetry::flight().record(telemetry::FlightLayer::kEc,
+                               qp_.control_qp_num(), "retransmit", sim_.now(),
+                               handle->msg_number(), sub, chunk);
   }
 }
 
 void EcSender::arm_fallback_timer(std::uint64_t base, std::size_t sub,
                                   std::size_t chunk) {
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  it->second.timers[sub][chunk] = sim_.schedule(
+  if (find(base) == nullptr) return;
+  timers(slot_of(base + sub))[chunk] = sim_.schedule(
       SimTime::from_seconds(config_.fallback_rto_s),
       [this, base, sub, chunk] {
         telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-        const auto mit = messages_.find(base);
-        if (mit == messages_.end()) return;
-        MsgState& m = mit->second;
-        if (m.sub_done[sub] || m.acked[sub].test(chunk)) return;
-        fallback_send(m, base, sub, chunk, /*retransmission=*/true);
+        const MsgState* m = find(base);
+        if (m == nullptr) return;
+        const std::size_t slot = slot_of(base + sub);
+        if (subs_[slot].done ||
+            ((acked_words(slot)[chunk >> 6] >> (chunk & 63)) & 1)) {
+          return;
+        }
+        fallback_send(*m, sub, chunk);
         arm_fallback_timer(base, sub, chunk);
       });
 }
 
-void EcSender::apply_fallback_ack(MsgState& msg, std::uint64_t base,
-                                  std::size_t sub,
+void EcSender::apply_fallback_ack(MsgState& msg, std::size_t sub,
                                   const ControlMessage& ack) {
-  (void)base;
-  if (sub >= msg.submessages || msg.sub_done[sub]) return;
-  if (msg.acked[sub].size() == 0) {
-    // ACK for a submessage that never entered fallback (e.g. the receiver
-    // recovered it after our NACK raced its parity) — nothing to cancel.
-    return;
-  }
+  if (sub >= msg.submessages) return;
+  const std::size_t slot = slot_of(msg.base + sub);
+  SubState& state = subs_[slot];
+  // An ACK for a submessage that never entered fallback (e.g. the receiver
+  // recovered it after our NACK raced its parity) has nothing to cancel.
+  if (state.done || !state.in_fallback) return;
+  std::uint64_t* acked = acked_words(slot);
+  sim::EventId* chunk_timers = timers(slot);
   const std::size_t cumulative =
       std::min<std::size_t>(ack.cumulative, config_.k);
   auto mark = [&](std::size_t c) {
-    if (msg.acked[sub].test(c)) return;
-    msg.acked[sub].set(c);
-    if (msg.timers[sub][c].valid()) {
-      sim_.cancel(msg.timers[sub][c]);
-      msg.timers[sub][c] = {};
+    const std::uint64_t bit = 1ULL << (c & 63);
+    if (acked[c >> 6] & bit) return;
+    acked[c >> 6] |= bit;
+    ++state.acked_count;
+    if (chunk_timers[c].valid()) {
+      sim_.cancel(chunk_timers[c]);
+      chunk_timers[c] = {};
     }
   };
   for (std::size_t c = 0; c < cumulative; ++c) mark(c);
@@ -263,17 +311,15 @@ void EcSender::apply_fallback_ack(MsgState& msg, std::uint64_t base,
       if (c < config_.k) mark(c);
     }
   }
-  if (msg.acked[sub].all_set()) {
-    msg.sub_done[sub] = true;
-    if (msg.subs_pending_fallback > 0) --msg.subs_pending_fallback;
-  }
+  if (state.acked_count == config_.k) state.done = true;
 }
 
 void EcSender::finish(std::uint64_t base) {
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState msg = std::move(it->second);
-  messages_.erase(it);
+  MsgState* found = find(base);
+  if (found == nullptr) return;
+  MsgState& msg = *found;
+  msg.live = false;
+  --inflight_;
   if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
@@ -283,33 +329,44 @@ void EcSender::finish(std::uint64_t base) {
                                base, msg.submessages,
                                stats_.fallback_retransmissions);
   }
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
-    for (sim::EventId id : msg.timers[s]) {
-      if (id.valid()) sim_.cancel(id);
+  const std::size_t L = msg.submessages;
+  for (std::size_t s = 0; s < L; ++s) {
+    const std::size_t slot = slot_of(base + s);
+    const SubState& sub = subs_[slot];
+    if (sub.in_fallback) {
+      const sim::EventId* chunk_timers = timers(slot);
+      for (std::size_t c = 0; c < config_.k; ++c) {
+        if (chunk_timers[c].valid()) sim_.cancel(chunk_timers[c]);
+      }
     }
-    sub_to_base_.erase(msg.data_handles[s]->msg_number());
     // A stream whose CTS never arrived has everything still queued; the
     // receiver completed without it (parity recovery), so it will never
     // drain — abort it rather than release it.
-    if (!msg.data_handles[s]->cts_ready()) {
-      qp_.send_abort(msg.data_handles[s]);
+    if (!sub.data->cts_ready()) {
+      qp_.send_abort(sub.data);
       continue;
     }
-    qp_.send_stream_end(msg.data_handles[s]);
-    qp_.send_release(msg.data_handles[s]);
+    qp_.send_stream_end(sub.data);
+    qp_.send_release(sub.data);
   }
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
+  for (std::size_t s = 0; s < L; ++s) {
     // Parity one-shots were released at write(); one whose CTS never came
     // will never drain, so abort it. A drained one may already have been
     // recycled and carry a newer message, so only touch a handle that
     // still holds our number (parity numbers follow the data numbers:
     // base + submessages + s).
-    core::SendHandle* parity = msg.parity_handles[s];
-    if (parity->msg_number() != base + msg.submessages + s) continue;
+    core::SendHandle* parity = subs_[slot_of(base + s)].parity;
+    if (parity->msg_number() != base + L + s) continue;
     if (parity->cts_ready()) continue;
     qp_.send_abort(parity);
   }
-  if (msg.done) msg.done(Status::ok());
+  std::swap(msg.parity, spare_parity_);
+  msg.parity = {};
+  free_nodes_.push_back(static_cast<std::uint32_t>(&msg - nodes_.data()));
+  // Last: the callback may write() a new message into this slot.
+  DoneFn done = std::move(msg.done);
+  msg.done = nullptr;
+  if (done) done(Status::ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -325,10 +382,26 @@ EcReceiver::EcReceiver(sim::Simulator& simulator, core::Qp& qp,
       profile_(profile),
       codec_(codec),
       config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
+      chunk_bytes_(qp.attr().chunk_size),
+      slots_(qp.attr().max_inflight),
+      streams_(slots_),
+      present_(config_.k + config_.m),
+      blocks_(config_.k + config_.m) {
+  nodes_.reserve(slots_ / 2);
+  free_nodes_.reserve(slots_ / 2);
   qp_.set_recv_event_handler(
       [this](const core::RecvEvent& event) { on_chunk_event(event); });
   if (telemetry::enabled()) register_metrics();
+}
+
+EcReceiver::~EcReceiver() {
+  for (MsgState& msg : nodes_) free_parity(msg.parity);
+  free_parity(spare_parity_);
+}
+
+void EcReceiver::free_parity(ParityBuffer& buffer) {
+  if (buffer.mr != nullptr) qp_.context().mr_dereg(buffer.mr);
+  buffer = {};
 }
 
 void EcReceiver::register_metrics() {
@@ -340,60 +413,101 @@ void EcReceiver::register_metrics() {
   tele_.bind_counter("fallback_submessages", &stats_.fallback_submessages);
   tele_.bind_counter("ec_nacks_sent", &stats_.ec_nacks_sent);
   tele_.bind_counter("ftos_fired", &stats_.ftos_fired);
-  tele_.bind_gauge("inflight_messages", [this] {
-    return static_cast<double>(messages_.size());
-  });
+  tele_.bind_gauge("inflight_messages",
+                   [this] { return static_cast<double>(inflight_); });
   chunk_completion_hist_ = tele_.histogram("chunk_completion_s", 1e-6, 1e3);
   msg_completion_hist_ = tele_.histogram("msg_completion_s", 1e-6, 1e3);
+}
+
+EcReceiver::MsgState* EcReceiver::find(std::uint64_t base) {
+  const StreamState& stream = streams_[slot_of(base)];
+  if (stream.number != base || stream.msg >= nodes_.size()) return nullptr;
+  MsgState& msg = nodes_[stream.msg];
+  return msg.live && msg.base == base ? &msg : nullptr;
 }
 
 Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
                           const verbs::MemoryRegion* mr, DoneFn done) {
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
+  const std::size_t parity_sub_bytes = config_.m * chunk_bytes_;
   if (buffer == nullptr || length == 0 || length % sub_bytes != 0) {
     return Status(StatusCode::kInvalidArgument,
                   "EC receive length must be a whole number of submessages");
   }
+  if (mr == nullptr) {
+    return Status(StatusCode::kInvalidArgument, "null memory region");
+  }
+  if (buffer < mr->addr() || buffer + length > mr->addr() + mr->length()) {
+    return Status(StatusCode::kOutOfRange,
+                  "buffer is outside the registered region");
+  }
+  if (std::max(sub_bytes, parity_sub_bytes) > qp_.attr().max_msg_size) {
+    return Status(StatusCode::kOutOfRange,
+                  "EC submessage exceeds the maximum message size");
+  }
+  if (!qp_.connected()) {
+    return Status(StatusCode::kNotConnected, "connect first");
+  }
   const std::size_t L = length / sub_bytes;
+  // All or nothing: an orphaned post would shift the order-based matching
+  // of every later message.
+  if (!qp_.recv_slots_free(2 * L)) {
+    return Status(StatusCode::kResourceExhausted,
+                  "message table full: wait for earlier EC messages");
+  }
 
-  MsgState msg;
-  msg.buffer = buffer;
-  msg.length = length;
-  msg.submessages = L;
-  msg.posted_at_s = sim_.now().seconds();
-  msg.done = std::move(done);
-  msg.sub_recovered.assign(L, false);
-  msg.parity_scratch.resize(L * config_.m * chunk_bytes_);
-  msg.parity_mr =
-      qp_.context().mr_reg(msg.parity_scratch.data(), msg.parity_scratch.size());
+  ParityBuffer parity;
+  std::swap(parity, spare_parity_);
+  if (parity.capacity < L * parity_sub_bytes) {
+    free_parity(parity);
+    parity.capacity = L * parity_sub_bytes;
+    parity.bytes = std::make_unique_for_overwrite<std::uint8_t[]>(
+        parity.capacity);
+    parity.mr = qp_.context().mr_reg(parity.bytes.get(), parity.capacity);
+  }
+
+  std::uint32_t node = 0;
+  if (free_nodes_.empty()) {
+    assert(nodes_.size() < nodes_.capacity());  // never reallocates
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    node = free_nodes_.back();
+    free_nodes_.pop_back();
+  }
 
   // Post order must mirror the sender's send order: data 0..L-1, parity
   // 0..L-1 (SDR matching is order-based).
   std::uint64_t base = 0;
-  for (std::size_t s = 0; s < L; ++s) {
+  for (std::size_t s = 0; s < 2 * L; ++s) {
+    std::uint8_t* addr = s < L ? buffer + s * sub_bytes
+                               : parity.bytes.get() + (s - L) * parity_sub_bytes;
     core::RecvHandle* handle = nullptr;
-    if (Status st = qp_.recv_post(buffer + s * sub_bytes, sub_bytes, mr,
-                                  &handle);
-        !st) {
-      return st;
-    }
+    [[maybe_unused]] const Status st =
+        qp_.recv_post(addr, s < L ? sub_bytes : parity_sub_bytes,
+                      s < L ? mr : parity.mr, &handle);
+    assert(st.is_ok());
     if (s == 0) base = handle->msg_number();
-    msg.data_handles.push_back(handle);
+    streams_[handle->slot()] =
+        StreamState{handle->msg_number(), handle, node, false, false};
   }
-  for (std::size_t s = 0; s < L; ++s) {
-    core::RecvHandle* handle = nullptr;
-    if (Status st = qp_.recv_post(
-            msg.parity_scratch.data() + s * config_.m * chunk_bytes_,
-            config_.m * chunk_bytes_, msg.parity_mr, &handle);
-        !st) {
-      return st;
-    }
-    msg.parity_handles.push_back(handle);
-  }
-  for (std::size_t s = 0; s < L; ++s) {
-    handle_to_base_[msg.data_handles[s]->msg_number()] = base;
-    handle_to_base_[msg.parity_handles[s]->msg_number()] = base;
-  }
+
+  MsgState& msg = nodes_[node];
+  msg.base = base;
+  msg.live = true;
+  msg.buffer = buffer;
+  msg.length = length;
+  msg.submessages = L;
+  msg.subs_recovered = 0;
+  msg.posted_at_s = sim_.now().seconds();
+  msg.fallback = false;
+  msg.complete = false;
+  msg.fto_timer = {};
+  msg.global_timer = {};
+  msg.ack_timer = {};
+  msg.parity = std::move(parity);
+  msg.done = std::move(done);
+  ++inflight_;
 
   if (config_.cts_retry_s > 0.0) {
     sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
@@ -410,19 +524,12 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
       SimTime::from_seconds(config_.global_timeout_factor *
                             (fto_s + profile_.rtt_s)),
       [this, base] {
-        const auto it = messages_.find(base);
-        if (it == messages_.end() || it->second.complete) return;
-        MsgState& m = it->second;
-        m.complete = true;
-        if (m.fto_timer.valid()) sim_.cancel(m.fto_timer);
-        if (m.ack_timer.valid()) sim_.cancel(m.ack_timer);
-        for (auto* h : m.data_handles) qp_.recv_complete(h);
-        for (auto* h : m.parity_handles) qp_.recv_complete(h);
-        DoneFn cb = std::move(m.done);
-        for (auto* h : m.data_handles) handle_to_base_.erase(h->msg_number());
-        for (auto* h : m.parity_handles)
-          handle_to_base_.erase(h->msg_number());
-        messages_.erase(it);
+        MsgState* m = find(base);
+        if (m == nullptr || m->complete) return;
+        m->complete = true;
+        if (m->fto_timer.valid()) sim_.cancel(m->fto_timer);
+        if (m->ack_timer.valid()) sim_.cancel(m->ack_timer);
+        const DoneFn cb = release(*m);
         if (cb) cb(Status(StatusCode::kAborted, "EC global timeout"));
       });
 
@@ -430,127 +537,122 @@ Status EcReceiver::expect(std::uint8_t* buffer, std::size_t length,
   // eats every packet of the message (data and parity) would otherwise
   // leave the receiver silent and the sender waiting forever — the global
   // timeout would be the only way out.
-  arm_fto(msg, base);
+  arm_fto(msg);
 
   ++stats_.messages;
-  messages_.emplace(base, std::move(msg));
   return Status::ok();
+}
+
+EcReceiver::DoneFn EcReceiver::release(MsgState& msg) {
+  const std::size_t streams = 2 * msg.submessages;
+  for (std::size_t s = 0; s < streams; ++s) {
+    StreamState& stream = streams_[slot_of(msg.base + s)];
+    qp_.recv_complete(stream.handle);
+    stream.handle = nullptr;
+  }
+  msg.live = false;
+  --inflight_;
+  std::swap(msg.parity, spare_parity_);
+  free_parity(msg.parity);
+  free_nodes_.push_back(static_cast<std::uint32_t>(&msg - nodes_.data()));
+  DoneFn done = std::move(msg.done);
+  msg.done = nullptr;
+  return done;
 }
 
 void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto bit = handle_to_base_.find(event.handle->msg_number());
-  if (bit == handle_to_base_.end()) return;
-  const std::uint64_t base = bit->second;
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
+  const std::uint64_t number = event.handle->msg_number();
+  const StreamState& stream = streams_[event.handle->slot()];
+  if (stream.handle != event.handle || stream.number != number) return;
+  MsgState& msg = nodes_[stream.msg];
+  if (!msg.live || msg.complete) return;
 
   // Which submessage does this event concern?
-  const std::uint64_t idx = event.handle->msg_number() - base;
+  const std::uint64_t idx = number - msg.base;
   const std::size_t sub = idx < msg.submessages
                               ? static_cast<std::size_t>(idx)
                               : static_cast<std::size_t>(idx - msg.submessages);
-  if (sub >= msg.submessages || msg.sub_recovered[sub]) return;
+  if (sub >= msg.submessages) return;
+  StreamState& data = data_stream(msg, sub);
+  if (data.recovered || !try_recover(msg, sub)) return;
 
-  if (submessage_recoverable(msg, sub) && try_recover(msg, sub)) {
-    msg.sub_recovered[sub] = true;
-    ++msg.subs_recovered;
-    if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
-      chunk_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "sub_recovered",
-                                 sim_.now(), base, sub, msg.subs_recovered,
-                                 msg.submessages);
-    }
-    if (msg.fallback) {
-      // Tell the sender to stop retransmitting this submessage.
-      ControlMessage& ack = ctrl_scratch_;
-      reset_control(ack, ControlType::kSrAck,
-                    msg.data_handles[sub]->msg_number());
-      ack.cumulative = static_cast<std::uint32_t>(config_.k);
-      encode_control(ack, wire_scratch_);
-      control_.send(wire_scratch_.data(), wire_scratch_.size());
-    }
-    check_message(msg, base);
+  data.recovered = true;
+  ++msg.subs_recovered;
+  if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
+    chunk_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
   }
-}
-
-bool EcReceiver::submessage_recoverable(const MsgState& msg,
-                                        std::size_t sub) const {
-  ec::PresenceMap present(config_.k + config_.m, false);
-  const AtomicBitmap* data_bits = nullptr;
-  const AtomicBitmap* parity_bits = nullptr;
-  qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
-  qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
-  if (data_bits == nullptr || parity_bits == nullptr) return false;
-  for (std::size_t j = 0; j < config_.k; ++j) present[j] = data_bits->test(j);
-  for (std::size_t t = 0; t < config_.m; ++t) {
-    present[config_.k + t] = parity_bits->test(t);
+  if (telemetry::flight_recording()) {
+    telemetry::flight().record(telemetry::FlightLayer::kEc,
+                               qp_.control_qp_num(), "sub_recovered",
+                               sim_.now(), msg.base, sub, msg.subs_recovered,
+                               msg.submessages);
   }
-  return codec_.can_recover(present);
+  if (msg.fallback) {
+    // Tell the sender to stop retransmitting this submessage.
+    ControlMessage& ack = ctrl_scratch_;
+    reset_control(ack, ControlType::kSrAck, data.number);
+    ack.cumulative = static_cast<std::uint32_t>(config_.k);
+    encode_control(ack, wire_scratch_);
+    control_.send(wire_scratch_.data(), wire_scratch_.size());
+  }
+  if (msg.subs_recovered == msg.submessages) complete(msg);
 }
 
 bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
-  ec::PresenceMap present(config_.k + config_.m, false);
+  // One presence map per event, built into scratch: it drives both the
+  // recoverability check and the decode.
+  const std::uint64_t data_number = data_stream(msg, sub).number;
   const AtomicBitmap* data_bits = nullptr;
   const AtomicBitmap* parity_bits = nullptr;
-  qp_.recv_bitmap_get(msg.data_handles[sub], &data_bits);
-  qp_.recv_bitmap_get(msg.parity_handles[sub], &parity_bits);
+  qp_.recv_bitmap_get(data_stream(msg, sub).handle, &data_bits);
+  qp_.recv_bitmap_get(parity_stream(msg, sub).handle, &parity_bits);
+  if (data_bits == nullptr || parity_bits == nullptr) return false;
   bool all_data = true;
   for (std::size_t j = 0; j < config_.k; ++j) {
-    present[j] = data_bits->test(j);
-    all_data = all_data && present[j];
+    present_[j] = data_bits->test(j);
+    all_data = all_data && present_[j];
   }
+  for (std::size_t t = 0; t < config_.m; ++t) {
+    present_[config_.k + t] = parity_bits->test(t);
+  }
+  if (!codec_.can_recover(present_)) return false;
   if (all_data) {
     ++stats_.clean_submessages;
     return true;
   }
-  for (std::size_t t = 0; t < config_.m; ++t) {
-    present[config_.k + t] = parity_bits->test(t);
-  }
-  std::vector<std::uint8_t*> blocks(config_.k + config_.m);
   const std::size_t sub_bytes = config_.k * chunk_bytes_;
   for (std::size_t j = 0; j < config_.k; ++j) {
-    blocks[j] = msg.buffer + sub * sub_bytes + j * chunk_bytes_;
+    blocks_[j] = msg.buffer + sub * sub_bytes + j * chunk_bytes_;
   }
   for (std::size_t t = 0; t < config_.m; ++t) {
-    blocks[config_.k + t] =
-        msg.parity_scratch.data() + (sub * config_.m + t) * chunk_bytes_;
+    blocks_[config_.k + t] =
+        msg.parity.bytes.get() + (sub * config_.m + t) * chunk_bytes_;
   }
-  if (!codec_.decode(std::span<std::uint8_t* const>(blocks), present,
+  if (!codec_.decode(std::span<std::uint8_t* const>(blocks_), present_,
                      chunk_bytes_)) {
     return false;
   }
   ++stats_.decoded_submessages;
   if (telemetry::tracing()) {
     telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kEcRepair,
-                             0, msg.data_handles[sub]->msg_number(),
-                             static_cast<std::uint32_t>(sub));
+                             0, data_number, static_cast<std::uint32_t>(sub));
   }
   if (telemetry::spanning()) {
     telemetry::spans().on_instant(sim_.now(),
                                   telemetry::TraceEventType::kEcRepair,
-                                  msg.data_handles[sub]->msg_number(),
+                                  data_number,
                                   static_cast<std::uint32_t>(sub));
   }
   if (telemetry::flight_recording()) {
     telemetry::flight().record(telemetry::FlightLayer::kEc,
                                qp_.control_qp_num(), "ec_repair", sim_.now(),
-                               msg.data_handles[sub]->msg_number(), sub);
+                               data_number, sub);
   }
   return true;
 }
 
-void EcReceiver::check_message(MsgState& msg, std::uint64_t base) {
-  if (msg.subs_recovered == msg.submessages) complete(msg, base);
-}
-
-void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
-  msg.fto_armed = true;
+void EcReceiver::arm_fto(MsgState& msg) {
   const double wire_chunks =
       static_cast<double>(msg.length / chunk_bytes_) *
       (1.0 + static_cast<double>(config_.m) / static_cast<double>(config_.k));
@@ -558,16 +660,16 @@ void EcReceiver::arm_fto(MsgState& msg, std::uint64_t base) {
   // RTS/CTS handshake and the first injected byte.
   const double fto_s = wire_chunks * profile_.chunk_injection_s() +
                        config_.beta * profile_.rtt_s + 2.0 * profile_.rtt_s;
+  const std::uint64_t base = msg.base;
   msg.fto_timer = sim_.schedule(SimTime::from_seconds(fto_s),
                                 [this, base] { on_fto(base); });
 }
 
 void EcReceiver::on_fto(std::uint64_t base) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
+  MsgState* found = find(base);
+  if (found == nullptr || found->complete) return;
+  MsgState& msg = *found;
   ++stats_.ftos_fired;
   if (telemetry::tracing()) {
     telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRtoFired,
@@ -584,16 +686,16 @@ void EcReceiver::on_fto(std::uint64_t base) {
   }
   const bool first_fire = !msg.fallback;
   msg.fallback = true;
-  if (msg.sub_nacked.empty()) msg.sub_nacked.assign(msg.submessages, false);
 
   ControlMessage& nack = ctrl_scratch_;
   reset_control(nack, ControlType::kEcNack, base);
   for (std::size_t s = 0; s < msg.submessages && nack.indices.size() < 512;
        ++s) {
-    if (!msg.sub_recovered[s]) {
+    StreamState& data = data_stream(msg, s);
+    if (!data.recovered) {
       nack.indices.push_back(static_cast<std::uint32_t>(s));
-      if (!msg.sub_nacked[s]) {
-        msg.sub_nacked[s] = true;
+      if (!data.nacked) {
+        data.nacked = true;
         ++stats_.fallback_submessages;
       }
     }
@@ -605,27 +707,22 @@ void EcReceiver::on_fto(std::uint64_t base) {
   // Keep refiring while submessages are outstanding: the NACK itself (or
   // the sender's entire first transmission) can be lost, and the sender
   // may not even have posted the message yet.
-  arm_fto(msg, base);
+  arm_fto(msg);
   if (first_fire) fallback_ack_tick(base);
 }
 
 void EcReceiver::cts_tick(std::uint64_t base) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
+  const MsgState* msg = find(base);
+  if (msg == nullptr || msg->complete) return;
   // Re-CTS every stream that has produced nothing: either its CTS was
   // lost (the sender's chunks sit queued until one lands) or the stream
   // itself is still in flight — the retry pace is several RTTs, so an
   // in-flight first chunk wins the race and the duplicate never sends.
+  // Data streams first, then parity: the posting order.
   bool silent = false;
-  for (core::RecvHandle* h : msg.data_handles) {
-    if (qp_.recv_packets(h) != 0) continue;
-    qp_.resend_cts(h);
-    silent = true;
-  }
-  for (core::RecvHandle* h : msg.parity_handles) {
+  for (std::size_t s = 0; s < 2 * msg->submessages; ++s) {
+    core::RecvHandle* h = streams_[slot_of(base + s)].handle;
     if (qp_.recv_packets(h) != 0) continue;
     qp_.resend_cts(h);
     silent = true;
@@ -637,26 +734,23 @@ void EcReceiver::cts_tick(std::uint64_t base) {
 
 void EcReceiver::fallback_ack_tick(std::uint64_t base) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-  const auto it = messages_.find(base);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
-  send_fallback_acks(msg, base);
-  msg.ack_timer =
+  MsgState* msg = find(base);
+  if (msg == nullptr || msg->complete) return;
+  send_fallback_acks(*msg);
+  msg->ack_timer =
       sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s),
                     [this, base] { fallback_ack_tick(base); });
 }
 
-void EcReceiver::send_fallback_acks(MsgState& msg, std::uint64_t base) {
-  (void)base;
+void EcReceiver::send_fallback_acks(MsgState& msg) {
   for (std::size_t s = 0; s < msg.submessages; ++s) {
-    if (msg.sub_recovered[s]) continue;
+    const StreamState& data = data_stream(msg, s);
+    if (data.recovered) continue;
     const AtomicBitmap* bits = nullptr;
-    qp_.recv_bitmap_get(msg.data_handles[s], &bits);
+    qp_.recv_bitmap_get(data.handle, &bits);
     if (bits == nullptr) continue;
     ControlMessage& ack = ctrl_scratch_;
-    reset_control(ack, ControlType::kSrAck,
-                  msg.data_handles[s]->msg_number());
+    reset_control(ack, ControlType::kSrAck, data.number);
     ack.cumulative = static_cast<std::uint32_t>(bits->first_zero(config_.k));
     ack.selective_base = 0;
     ack.selective.reserve(bitmap_words(config_.k));
@@ -668,7 +762,15 @@ void EcReceiver::send_fallback_acks(MsgState& msg, std::uint64_t base) {
   }
 }
 
-void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
+void EcReceiver::send_ec_ack(std::uint64_t base) {
+  ControlMessage& ack = ctrl_scratch_;
+  reset_control(ack, ControlType::kEcAck, base);
+  encode_control(ack, wire_scratch_);
+  control_.send(wire_scratch_.data(), wire_scratch_.size());
+}
+
+void EcReceiver::complete(MsgState& msg) {
+  const std::uint64_t base = msg.base;
   msg.complete = true;
   if (msg_completion_hist_.live() && msg.posted_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
@@ -683,32 +785,16 @@ void EcReceiver::complete(MsgState& msg, std::uint64_t base) {
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);
   if (msg.ack_timer.valid()) sim_.cancel(msg.ack_timer);
 
-  ControlMessage& ack = ctrl_scratch_;
-  reset_control(ack, ControlType::kEcAck, base);
-  encode_control(ack, wire_scratch_);
-  control_.send(wire_scratch_.data(), wire_scratch_.size());
+  // The EC ACK is a pure function of the base number, so each repeat
+  // re-encodes it into the scratch rather than carrying a copy.
+  send_ec_ack(base);
   for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
-    // Init-capture copies the scratch: the repeat fires after the scratch
-    // has been reused, and a const member would degrade the event's
-    // relocation to a copy (InlineFunction requires nothrow moves).
-    sim_.schedule(
-        SimTime::from_seconds(config_.fallback_ack_interval_s *
-                              static_cast<double>(r)),
-        [this, ack_wire = wire_scratch_] {
-          control_.send(ack_wire.data(), ack_wire.size());
-        });
+    sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s *
+                                        static_cast<double>(r)),
+                  [this, base] { send_ec_ack(base); });
   }
 
-  for (auto* h : msg.data_handles) {
-    handle_to_base_.erase(h->msg_number());
-    qp_.recv_complete(h);
-  }
-  for (auto* h : msg.parity_handles) {
-    handle_to_base_.erase(h->msg_number());
-    qp_.recv_complete(h);
-  }
-  DoneFn done = std::move(msg.done);
-  messages_.erase(base);
+  const DoneFn done = release(msg);
   if (done) done(Status::ok());
 }
 

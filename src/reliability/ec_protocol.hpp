@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -63,6 +62,15 @@ struct EcSenderStats {
   std::uint64_t ec_nacks{0};
 };
 
+/// A parity buffer: encoded parity on the sender, parity receive scratch
+/// on the receiver. A receiver buffer is registered once, when allocated,
+/// and keeps its MR until the block is freed.
+struct ParityBuffer {
+  std::unique_ptr<std::uint8_t[]> bytes;
+  std::size_t capacity{0};
+  const verbs::MemoryRegion* mr{nullptr};  // receiver only
+};
+
 class EcSender {
  public:
   using DoneFn = std::function<void(const Status&)>;
@@ -72,37 +80,67 @@ class EcSender {
            EcProtoConfig config);
 
   /// Message length must be a whole number of submessages
-  /// (k * chunk_size); callers pad to this granularity.
+  /// (k * chunk_size); callers pad to this granularity. A message of L
+  /// submessages takes 2L SDR slots; if they are not all free the write
+  /// fails with kResourceExhausted and posts nothing.
   Status write(const std::uint8_t* data, std::size_t length, DoneFn done);
 
   const EcSenderStats& stats() const { return stats_; }
 
  private:
+  // Per-submessage state lives in a flat table indexed by SDR slot
+  // (msg_number % max_inflight), sized once at construction: each data
+  // stream's entry sits at its slot, and the base (first data stream)
+  // entry points at the message's node. The streams stay open until
+  // finish(), so no later message can claim those slots while this one
+  // lives. Message nodes come from a free list whose storage is reserved
+  // for the most messages that can be live at once (max_inflight / 2), so
+  // it never reallocates and only the nodes in use are touched. Stored
+  // numbers guard against stale timers and ACKs.
   struct MsgState {
+    std::uint64_t base{0};
+    bool live{false};
     const std::uint8_t* data{nullptr};
-    std::size_t length{0};
     std::size_t submessages{0};
-    std::vector<core::SendHandle*> data_handles;    // streaming, kept open
-    std::vector<core::SendHandle*> parity_handles;  // one-shot
-    std::vector<std::uint8_t> parity;               // encoded parity buffer
-    // Fallback SR state, indexed [submessage][chunk-in-submessage].
-    std::vector<std::vector<sim::EventId>> timers;
-    std::vector<Bitmap> acked;        // per-submessage chunk acks
-    std::vector<bool> sub_done;
-    std::size_t subs_pending_fallback{0};
     double write_at_s{-1.0};  // write() sim time (completion latency)
+    ParityBuffer parity;
     DoneFn done;
   };
+  struct SubState {
+    std::uint64_t number{0};  // the data stream's message number
+    core::SendHandle* data{nullptr};    // streaming, kept open
+    core::SendHandle* parity{nullptr};  // one-shot, released at write()
+    std::uint32_t msg{0};               // node index
+    std::uint16_t acked_count{0};       // fallback: chunks acked
+    bool done{false};
+    bool in_fallback{false};
+  };
+
+  std::size_t slot_of(std::uint64_t number) const {
+    return static_cast<std::size_t>(number % slots_);
+  }
+  /// The live message a data stream `number` belongs to, or nullptr.
+  MsgState* owner(std::uint64_t number);
+  MsgState* find(std::uint64_t base) {
+    MsgState* msg = owner(base);
+    return msg != nullptr && msg->base == base ? msg : nullptr;
+  }
+  // Fallback SR state of the submessage at `slot`: its chunk-ack bitmap
+  // words and one timer per chunk.
+  std::uint64_t* acked_words(std::size_t slot) {
+    return acked_.data() + slot * ack_words_;
+  }
+  sim::EventId* timers(std::size_t slot) {
+    return timers_.data() + slot * config_.k;
+  }
 
   void register_metrics();
   void on_control(const std::uint8_t* data, std::size_t length);
-  void enter_fallback(MsgState& msg, std::uint64_t base,
-                      const std::vector<std::uint32_t>& failed);
-  void fallback_send(MsgState& msg, std::uint64_t base, std::size_t sub,
-                     std::size_t chunk, bool retransmission);
+  void enter_fallback(MsgState& msg, const std::vector<std::uint32_t>& failed);
+  void fallback_send(const MsgState& msg, std::size_t sub, std::size_t chunk);
   void arm_fallback_timer(std::uint64_t base, std::size_t sub,
                           std::size_t chunk);
-  void apply_fallback_ack(MsgState& msg, std::uint64_t base, std::size_t sub,
+  void apply_fallback_ack(MsgState& msg, std::size_t sub,
                           const ControlMessage& ack);
   void finish(std::uint64_t base);
 
@@ -113,10 +151,23 @@ class EcSender {
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
   std::size_t chunk_bytes_;
-  // Keyed by the base (first data submessage) SDR message number.
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  // Maps any data submessage msg_number -> base (for fallback ACK routing).
-  std::unordered_map<std::uint64_t, std::uint64_t> sub_to_base_;
+  std::size_t slots_;
+  std::size_t ack_words_;
+  std::vector<SubState> subs_;
+  std::vector<std::uint64_t> acked_;
+  std::vector<sim::EventId> timers_;
+  std::vector<MsgState> nodes_;
+  std::vector<std::uint32_t> free_nodes_;
+  std::size_t inflight_{0};
+  // The last finished message's parity buffer, kept for the next write: a
+  // closed loop reuses it every message. Only one is kept, because an open
+  // loop rarely reuses one, and a buffer held here is memory no other
+  // endpoint can use.
+  ParityBuffer spare_parity_;
+  // Encode block-pointer scratch and control decode scratch.
+  std::vector<const std::uint8_t*> data_blocks_;
+  std::vector<std::uint8_t*> parity_blocks_;
+  ControlMessage ctrl_scratch_;
   EcSenderStats stats_;
   // Tail-latency rollup: write() -> positive EC ACK.
   telemetry::HistogramHandle msg_completion_hist_;
@@ -139,50 +190,79 @@ class EcReceiver {
   EcReceiver(sim::Simulator& simulator, core::Qp& qp, ControlLink& control,
              const LinkProfile& profile, const ec::ErasureCodec& codec,
              EcProtoConfig config);
+  /// Deregisters the parity buffers' memory: the QP's Context must still
+  /// be alive.
+  ~EcReceiver();
+  EcReceiver(const EcReceiver&) = delete;
+  EcReceiver& operator=(const EcReceiver&) = delete;
 
   /// Post `buffer` for the next incoming EC message. Length must be a whole
   /// number of submessages. Fires `done` once all data chunks are present
-  /// or recovered (and all receives completed).
+  /// or recovered (and all receives completed). Like EcSender::write, a
+  /// message whose 2L receive slots are not all free is refused with
+  /// kResourceExhausted and posts nothing.
   Status expect(std::uint8_t* buffer, std::size_t length,
                 const verbs::MemoryRegion* mr, DoneFn done);
 
   const EcReceiverStats& stats() const { return stats_; }
 
  private:
+  // Slot-indexed stream table and message nodes, as in EcSender: one
+  // entry at the slot of every data and parity receive (all 2L stay posted
+  // until the message ends), the base entry pointing at the node.
   struct MsgState {
+    std::uint64_t base{0};
+    bool live{false};
     std::uint8_t* buffer{nullptr};
     std::size_t length{0};
     std::size_t submessages{0};
-    std::vector<core::RecvHandle*> data_handles;
-    std::vector<core::RecvHandle*> parity_handles;
-    std::vector<std::uint8_t> parity_scratch;
-    const verbs::MemoryRegion* parity_mr{nullptr};
-    std::vector<bool> sub_recovered;
-    /// Submessages already counted in fallback_submessages / NACKed once
-    /// (refires re-list them on the wire but must not re-count).
-    std::vector<bool> sub_nacked;
     std::size_t subs_recovered{0};
     double posted_at_s{-1.0};  // expect() sim time (completion latency)
-    bool fto_armed{false};
     bool fallback{false};
     bool complete{false};
     sim::EventId fto_timer{};
     sim::EventId global_timer{};
     sim::EventId ack_timer{};
+    ParityBuffer parity;
     DoneFn done;
   };
+  struct StreamState {
+    std::uint64_t number{0};  // the receive's message number
+    core::RecvHandle* handle{nullptr};
+    std::uint32_t msg{0};  // node index
+    // Data streams only: submessage recovered; counted in
+    // fallback_submessages / NACKed once (refires re-list it on the wire
+    // but must not re-count).
+    bool recovered{false};
+    bool nacked{false};
+  };
+
+  std::size_t slot_of(std::uint64_t number) const {
+    return static_cast<std::size_t>(number % slots_);
+  }
+  MsgState* find(std::uint64_t base);
+  StreamState& data_stream(const MsgState& msg, std::size_t sub) {
+    return streams_[slot_of(msg.base + sub)];
+  }
+  StreamState& parity_stream(const MsgState& msg, std::size_t sub) {
+    return streams_[slot_of(msg.base + msg.submessages + sub)];
+  }
 
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
   void cts_tick(std::uint64_t base);
-  bool submessage_recoverable(const MsgState& msg, std::size_t sub) const;
   bool try_recover(MsgState& msg, std::size_t sub);
-  void check_message(MsgState& msg, std::uint64_t base);
-  void arm_fto(MsgState& msg, std::uint64_t base);
+  void arm_fto(MsgState& msg);
   void on_fto(std::uint64_t base);
   void fallback_ack_tick(std::uint64_t base);
-  void send_fallback_acks(MsgState& msg, std::uint64_t base);
-  void complete(MsgState& msg, std::uint64_t base);
+  void send_fallback_acks(MsgState& msg);
+  void send_ec_ack(std::uint64_t base);
+  /// Deregister and free a parity buffer (empty is fine).
+  void free_parity(ParityBuffer& buffer);
+  void complete(MsgState& msg);
+  /// Complete every receive, pool the parity buffer and free the slot;
+  /// returns the done callback for the caller to fire last.
+  DoneFn release(MsgState& msg);
 
   sim::Simulator& sim_;
   core::Qp& qp_;
@@ -191,8 +271,16 @@ class EcReceiver {
   const ec::ErasureCodec& codec_;
   EcProtoConfig config_;
   std::size_t chunk_bytes_;
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  std::unordered_map<std::uint64_t, std::uint64_t> handle_to_base_;
+  std::size_t slots_;
+  std::vector<StreamState> streams_;
+  std::vector<MsgState> nodes_;
+  std::vector<std::uint32_t> free_nodes_;
+  std::size_t inflight_{0};
+  // Spare parity buffer, with its MR, as on the sender.
+  ParityBuffer spare_parity_;
+  // Per-event decode scratch: presence map and block pointers.
+  ec::PresenceMap present_;
+  std::vector<std::uint8_t*> blocks_;
   // Reused ACK/NACK encode scratch (same pattern as SrReceiver): the
   // control path allocates nothing in steady state.
   ControlMessage ctrl_scratch_;

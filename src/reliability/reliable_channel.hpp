@@ -76,6 +76,8 @@ class ReliableChannel {
   const Options& options() const { return options_; }
   std::uint64_t retransmissions() const;
   std::uint64_t eager_messages() const { return eager_completed_; }
+  /// The EC receiver of a kEcMds / kEcXor channel, else nullptr.
+  const EcReceiver* ec_receiver() const { return ec_receiver_.get(); }
 
  private:
   const verbs::MemoryRegion* recv_mr(std::uint8_t* buffer, std::size_t length);

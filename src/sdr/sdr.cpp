@@ -31,6 +31,10 @@ const verbs::MemoryRegion* Context::mr_reg(void* addr, std::size_t length) {
   return nic_.pd().register_mr(static_cast<std::uint8_t*>(addr), length);
 }
 
+Status Context::mr_dereg(const verbs::MemoryRegion* mr) {
+  return nic_.pd().deregister_mr(mr);
+}
+
 // ---------------------------------------------------------------------------
 // Qp setup
 // ---------------------------------------------------------------------------
@@ -341,6 +345,14 @@ Status Qp::send_abort(SendHandle* handle) {
   return Status::ok();
 }
 
+bool Qp::send_slots_free(std::size_t count) const {
+  if (!connected_ || count > attr_.max_inflight) return false;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (send_handles_[slot_of(send_counter_ + i)].in_use_) return false;
+  }
+  return true;
+}
+
 void Qp::recycle(SendHandle* handle) {
   handle->in_use_ = false;
   --active_send_count_;
@@ -493,6 +505,14 @@ Status Qp::resend_cts(RecvHandle* handle) {
                       handle->generation_,
                       static_cast<std::uint64_t>(handle->msg_bytes_)});
   return Status::ok();
+}
+
+bool Qp::recv_slots_free(std::size_t count) const {
+  if (!connected_ || count > attr_.max_inflight) return false;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (recv_handles_[slot_of(recv_counter_ + i)].in_use_) return false;
+  }
+  return true;
 }
 
 Status Qp::recv_bitmap_get(RecvHandle* handle,

@@ -68,19 +68,54 @@ class SendHandle {
   std::uint64_t packets_pending_{0};  // handed to NIC, not yet serialized
   std::size_t remote_msg_bytes_{0};   // from CTS: posted buffer length
   struct PendingOp {
-    const std::uint8_t* data;
-    std::size_t offset;
-    std::size_t length;
+    const std::uint8_t* data{nullptr};
+    std::size_t offset{0};
+    std::size_t length{0};
   };
-  // Ops issued before CTS arrived. Ring (not deque): a deque's cursor
-  // marches through its blocks, freeing and reallocating one every ~21
-  // push/pop cycles even when the queue never holds more than one element.
-  common::RingBuffer<PendingOp> queued_;
+  /// Ops issued before CTS arrived, in order. EC streams and SR messages
+  /// queue exactly one, and fleet slots are rarely reused, so the first op
+  /// lives inline and only later ones spill to a ring, created on the
+  /// first spill and kept with the handle (a ring, not a deque: a deque's
+  /// cursor marches through its blocks, freeing and reallocating one every
+  /// ~21 push/pop cycles even at depth one).
+  class PendingOps {
+   public:
+    bool empty() const { return !has_first_ && (!rest_ || rest_->empty()); }
+    void push_back(const PendingOp& op) {
+      if (empty()) {
+        first_ = op;
+        has_first_ = true;
+        return;
+      }
+      if (!rest_) rest_ = std::make_unique<common::RingBuffer<PendingOp>>();
+      rest_->push_back(op);
+    }
+    const PendingOp& front() const {
+      return has_first_ ? first_ : rest_->front();
+    }
+    void pop_front() {
+      if (has_first_) {
+        has_first_ = false;
+      } else {
+        rest_->pop_front();
+      }
+    }
+    void clear() {
+      has_first_ = false;
+      if (rest_) rest_->clear();
+    }
+
+   private:
+    PendingOp first_;
+    bool has_first_{false};
+    std::unique_ptr<common::RingBuffer<PendingOp>> rest_;
+  };
+  PendingOps queued_;
   bool in_use_{false};
   bool released_{false};  // send_release: the QP recycles it once drained
 
   /// Recycle for the next message on this slot without rebuilding the
-  /// deque (steady-state message turnover must not touch the allocator).
+  /// queue (steady-state message turnover must not touch the allocator).
   void reset() {
     msg_number_ = 0;
     slot_ = 0;
@@ -183,6 +218,11 @@ class Qp {
   /// through send_poll or send_release instead. A released handle whose CTS
   /// never came may still be aborted.
   Status send_abort(SendHandle* handle);
+  /// True when the next `count` send_stream_start / send_post calls will
+  /// all find their slot free. A layer that posts one logical message as
+  /// several SDR messages checks this first: order-based matching cannot
+  /// skip a message number, so a post that fails halfway cannot be undone.
+  bool send_slots_free(std::size_t count) const;
 
   // ---- receive path ----
   Status recv_post(std::uint8_t* addr, std::size_t length,
@@ -202,6 +242,9 @@ class Qp {
   /// this until the first data chunk lands. Duplicate CTSes are ignored by
   /// the sender (the handle is already cts_ready).
   Status resend_cts(RecvHandle* handle);
+  /// Receive-side twin of send_slots_free: the next `count` recv_post
+  /// calls will all find their slot free.
+  bool recv_slots_free(std::size_t count) const;
 
   /// Convenience for reliability layers: has every chunk arrived?
   bool recv_done(const RecvHandle* handle) const;
@@ -336,6 +379,8 @@ class Context {
 
   Qp* create_qp(const QpAttr& attr);
   const verbs::MemoryRegion* mr_reg(void* addr, std::size_t length);
+  /// Release a region returned by mr_reg.
+  Status mr_dereg(const verbs::MemoryRegion* mr);
 
  private:
   verbs::Nic& nic_;

@@ -102,6 +102,9 @@ class ProtectionDomain {
 
   const MemoryRegion* find_by_lkey(MemoryKey lkey) const;
 
+  /// Registered regions, NULL MRs included (leak checks).
+  std::size_t mr_count() const { return mrs_.size(); }
+
  private:
   MemoryKey next_key_{0x1000};
   std::unordered_map<MemoryKey, std::unique_ptr<MemoryRegion>> mrs_;

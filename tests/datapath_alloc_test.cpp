@@ -9,7 +9,8 @@
 //    (post -> verbs packetization -> channel -> CQE -> SDR bitmap update ->
 //    completion -> repost) must not touch the allocator once warmed up,
 //    measured with the same global operator-new hook bench_simcore and
-//    bench_datapath use.
+//    bench_datapath use. The EC stack (encode, parity, decode, ACKs) is
+//    held to the same standard per message.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,9 @@
 
 #include "common/payload_pool.hpp"
 #include "common/units.hpp"
+#include "ec/gf256_kernels.hpp"
+#include "ec/reed_solomon.hpp"
+#include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
@@ -349,6 +353,149 @@ TEST(AllocRegressionTest, ZeroAllocsPerPacketSdrCleanSteadyState) {
   // And end-to-end correctness of the measured transfer: last window's
   // buffers hold the source pattern.
   EXPECT_EQ(std::memcmp(dst.data(), src.data(), kMsgBytes), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Zero allocations per message through the EC stack: a closed-loop
+// ReliableChannel under RS(4,2) over a lossy link (bench_datapath's
+// sdr_lossy_ec, compacted). Parity encode, slot-table protocol state,
+// pooled parity buffers, chunk events, parity decode and the final-ACK
+// repeats must all run without the allocator once warmed up.
+// ---------------------------------------------------------------------------
+TEST(AllocRegressionTest, ZeroAllocsPerMessageEcSteadyState) {
+  constexpr int kIterations = 400;
+  constexpr int kWarmup = 200;
+  constexpr std::size_t kMsgBytes = 256 * KiB;  // 16 RS(4,2) submessages
+
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100 * Gbps;
+  cfg.distance_km = 100.0;
+  cfg.seed = 41;
+  verbs::NicPair nics = verbs::make_connected_pair(sim, cfg, 1e-3, 0.0);
+
+  reliability::ReliableChannel::Options options;
+  options.kind = reliability::ReliableChannel::Kind::kEcMds;
+  options.ec.k = 4;
+  options.ec.m = 2;
+  options.profile.bandwidth_bps = cfg.bandwidth_bps;
+  options.profile.rtt_s = rtt_s(cfg.distance_km);
+  options.profile.p_drop_packet = 1e-3;
+  options.profile.mtu = 4096;
+  options.profile.chunk_bytes = 4 * KiB;
+  options.attr.mtu = 4096;
+  options.attr.chunk_size = 4 * KiB;
+  options.attr.max_msg_size = 16 * KiB;
+  options.attr.max_inflight = 64;
+  options.derive_timeouts();
+  reliability::ReliableChannel channel(sim, *nics.a, *nics.b, options);
+
+  std::vector<std::uint8_t> src(kMsgBytes);
+  for (std::size_t i = 0; i < kMsgBytes; ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 131 + (i >> 12));
+  }
+  std::vector<std::uint8_t> dst(kMsgBytes, 0);
+
+  // One-pointer completion closures (see bench_datapath's Driver): they
+  // stay inside std::function's small buffer.
+  struct Driver {
+    reliability::ReliableChannel& channel;
+    const std::vector<std::uint8_t>& src;
+    std::vector<std::uint8_t>& dst;
+    int posted{0};
+    int completed{0};
+    int corrupt{0};
+    std::uint64_t allocs_at_steady{0};
+    std::uint64_t decoded_at_steady{0};
+
+    void post_pair() {
+      if (posted >= kIterations) return;
+      ++posted;
+      channel.recv(dst.data(), kMsgBytes,
+                   [this](const Status&) { on_recv_done(); });
+      channel.send(src.data(), kMsgBytes, [](const Status&) {});
+    }
+    void on_recv_done() {
+      ++completed;
+      if (std::memcmp(dst.data(), src.data(), kMsgBytes) != 0) ++corrupt;
+      if (completed == kWarmup) {
+        allocs_at_steady = g_allocs.load();
+        decoded_at_steady = decoded();
+      }
+      post_pair();
+    }
+    std::uint64_t decoded() const {
+      return channel.ec_receiver()->stats().decoded_submessages;
+    }
+  } driver{channel, src, dst};
+
+  driver.post_pair();
+  sim.run();
+
+  ASSERT_EQ(driver.completed, kIterations);
+  EXPECT_EQ(driver.corrupt, 0);
+  const std::uint64_t steady_allocs = g_allocs.load() - driver.allocs_at_steady;
+  // The measured window must exercise the decode path, not just clean
+  // submessages.
+  EXPECT_GT(driver.decoded(), driver.decoded_at_steady);
+  EXPECT_EQ(steady_allocs, 0u)
+      << steady_allocs << " allocations in the steady-state window ("
+      << (kIterations - kWarmup) << " EC messages)";
+}
+
+// ---------------------------------------------------------------------------
+// Reed-Solomon decode is allocation-free once the thread has decoded at
+// this k: matrices and coefficients live in a per-thread workspace (codecs
+// are shared across threads, so they hold none). Every loss count up to m,
+// under every kernel tier this host runs, byte-exact.
+// ---------------------------------------------------------------------------
+TEST(AllocRegressionTest, ZeroAllocsPerWarmedUpReedSolomonDecode) {
+  constexpr std::size_t kK = 32;
+  constexpr std::size_t kM = 8;
+  constexpr std::size_t kBlock = 8 * KiB;
+  const ec::ReedSolomon codec(kK, kM);
+
+  std::vector<std::vector<std::uint8_t>> blocks(kK + kM,
+                                                std::vector<std::uint8_t>(kBlock));
+  for (std::size_t b = 0; b < kK; ++b) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      blocks[b][i] = static_cast<std::uint8_t>(b * 37 + i * 11 + (i >> 9));
+    }
+  }
+  const std::vector<std::vector<std::uint8_t>> original(blocks.begin(),
+                                                        blocks.begin() + kK);
+  std::vector<const std::uint8_t*> data(kK);
+  std::vector<std::uint8_t*> parity(kM);
+  std::vector<std::uint8_t*> all(kK + kM);
+  for (std::size_t b = 0; b < kK + kM; ++b) all[b] = blocks[b].data();
+  for (std::size_t b = 0; b < kK; ++b) data[b] = blocks[b].data();
+  for (std::size_t p = 0; p < kM; ++p) parity[p] = blocks[kK + p].data();
+  codec.encode(data, parity, kBlock);
+
+  ec::PresenceMap present(kK + kM, true);
+  for (const ec::GfIsa isa : {ec::GfIsa::kScalar, ec::GfIsa::kSsse3,
+                              ec::GfIsa::kAvx2, ec::GfIsa::kGfni}) {
+    const ec::GfKernels* kernels = ec::gf_kernels_for(isa);
+    if (kernels == nullptr || !ec::isa_supported(isa)) continue;
+    // Warm the workspace with one single-loss decode.
+    present.assign(kK + kM, true);
+    present[0] = false;
+    ASSERT_TRUE(codec.decode_with(*kernels, all, present, kBlock));
+    const std::uint64_t before = g_allocs.load();
+    for (std::size_t lost = 1; lost <= kM; ++lost) {
+      present.assign(kK + kM, true);
+      for (std::size_t j = 0; j < lost; ++j) {
+        const std::size_t victim = (j * 7 + lost) % kK;
+        present[victim] = false;
+        std::fill(blocks[victim].begin(), blocks[victim].end(), 0);
+      }
+      ASSERT_TRUE(codec.decode_with(*kernels, all, present, kBlock));
+    }
+    EXPECT_EQ(g_allocs.load() - before, 0u) << ec::isa_name(isa);
+    for (std::size_t b = 0; b < kK; ++b) {
+      ASSERT_EQ(blocks[b], original[b]) << ec::isa_name(isa) << " block " << b;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "ec/reed_solomon.hpp"
 #include "ec/xor_code.hpp"
 #include "reliability/ec_protocol.hpp"
+#include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
@@ -205,6 +206,128 @@ TEST_F(EcProtoFixture, ParityBandwidthAccounting) {
   transfer(32 * 1024, 6);  // 4 submessages x (8 data + 4 parity) chunks
   EXPECT_EQ(sender_->stats().data_chunks_sent, 32u);
   EXPECT_EQ(sender_->stats().parity_chunks_sent, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// EC over a ReliableChannel: all-or-nothing posts and parity-buffer
+// registration. RS(4,2) on 4 KiB chunks: one submessage is 16 KiB and
+// takes two SDR slots (data + parity).
+// ---------------------------------------------------------------------------
+
+ReliableChannel::Options ec_channel_options(std::size_t max_inflight) {
+  ReliableChannel::Options options;
+  options.kind = ReliableChannel::Kind::kEcMds;
+  options.ec.k = 4;
+  options.ec.m = 2;
+  options.attr.mtu = 4096;
+  options.attr.chunk_size = 4096;
+  options.attr.max_msg_size = 16 * 1024;
+  options.attr.max_inflight = max_inflight;
+  options.profile.bandwidth_bps = 100e9;
+  options.profile.rtt_s = rtt_s(100.0);
+  options.profile.mtu = 4096;
+  options.profile.chunk_bytes = 4096;
+  options.derive_timeouts();
+  return options;
+}
+
+verbs::NicPair ec_channel_link(sim::Simulator& sim, double p_drop_fwd) {
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100e9;
+  cfg.distance_km = 100.0;
+  cfg.seed = 29;
+  return verbs::make_connected_pair(sim, cfg, p_drop_fwd, 0.0);
+}
+
+TEST(EcChannelTest, TableFullPostsNothingAndLaterMessagesMatch) {
+  // Six slots. A (1 submessage) holds slots 0-1 while it is in flight; B
+  // (3 submessages) needs slots 2-5 and 0-1, so posting it early used to
+  // start B's data streams and first parity one-shot before failing on
+  // slot 0. The orphans consumed message numbers on one side only (so B's
+  // retry matched the wrong receives), and the released parity one-shot
+  // read B's freed parity buffer once its CTS landed. The receiver had the
+  // twin bug: an orphaned post shifted every later match.
+  sim::Simulator sim;
+  verbs::NicPair nics = ec_channel_link(sim, 0.0);
+  ReliableChannel channel(sim, *nics.a, *nics.b, ec_channel_options(6));
+  constexpr std::size_t kSub = 16 * 1024;
+
+  struct Msg {
+    std::vector<std::uint8_t> src, dst;
+    bool sent{false}, received{false};
+    explicit Msg(std::size_t subs, std::uint8_t seed)
+        : src(pattern(subs * kSub, seed)), dst(subs * kSub, 0) {}
+    Status send(ReliableChannel& ch) {
+      return ch.send(src.data(), src.size(), [this](const Status& s) {
+        EXPECT_TRUE(s.is_ok());
+        sent = true;
+      });
+    }
+    Status recv(ReliableChannel& ch) {
+      return ch.recv(dst.data(), dst.size(), [this](const Status& s) {
+        EXPECT_TRUE(s.is_ok());
+        received = true;
+      });
+    }
+    bool delivered() const { return sent && received && src == dst; }
+  };
+  Msg a(1, 1), b(3, 2), c(2, 3), d(2, 4);
+
+  // Sender-side refusal: B would wrap onto A's open data stream.
+  ASSERT_TRUE(a.recv(channel).is_ok());
+  ASSERT_TRUE(a.send(channel).is_ok());
+  EXPECT_EQ(b.send(channel).code(), StatusCode::kResourceExhausted);
+  sim.run();
+  EXPECT_TRUE(a.delivered());
+
+  ASSERT_TRUE(b.recv(channel).is_ok());
+  ASSERT_TRUE(b.send(channel).is_ok());
+  sim.run();
+  EXPECT_TRUE(b.delivered());
+
+  // Receiver-side refusal: C holds slots 2-5, D needs 0-3.
+  ASSERT_TRUE(c.recv(channel).is_ok());
+  EXPECT_EQ(d.recv(channel).code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(c.send(channel).is_ok());
+  sim.run();
+  EXPECT_TRUE(c.delivered());
+
+  ASSERT_TRUE(d.recv(channel).is_ok());
+  ASSERT_TRUE(d.send(channel).is_ok());
+  sim.run();
+  EXPECT_TRUE(d.delivered());
+}
+
+TEST(EcChannelTest, ParityBuffersKeepOneRegistrationEach) {
+  // The receiver registers its parity scratch once per pooled buffer, not
+  // once per message: the NIC's MR count stops growing once the pool is
+  // warm. Lossy, so the run also decodes through the pooled buffers.
+  sim::Simulator sim;
+  verbs::NicPair nics = ec_channel_link(sim, 1e-2);
+  ReliableChannel channel(sim, *nics.a, *nics.b, ec_channel_options(32));
+  constexpr std::size_t kBytes = 4 * 16 * 1024;
+  const std::vector<std::uint8_t> src = pattern(kBytes, 9);
+  std::vector<std::uint8_t> dst(kBytes, 0);
+
+  std::size_t mrs_after_10 = 0;
+  for (int i = 1; i <= 100; ++i) {
+    std::fill(dst.begin(), dst.end(), 0);
+    bool sent = false, received = false;
+    ASSERT_TRUE(channel
+                    .recv(dst.data(), kBytes,
+                          [&](const Status& s) { received = s.is_ok(); })
+                    .is_ok());
+    ASSERT_TRUE(channel
+                    .send(src.data(), kBytes,
+                          [&](const Status& s) { sent = s.is_ok(); })
+                    .is_ok());
+    sim.run();
+    ASSERT_TRUE(sent && received) << "message " << i;
+    ASSERT_EQ(dst, src) << "message " << i;
+    if (i == 10) mrs_after_10 = nics.b->pd().mr_count();
+  }
+  EXPECT_EQ(nics.b->pd().mr_count(), mrs_after_10);
+  EXPECT_GT(channel.ec_receiver()->stats().decoded_submessages, 0u);
 }
 
 }  // namespace
