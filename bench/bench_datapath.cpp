@@ -22,7 +22,12 @@
 // Each workload emits one machine-readable line:
 //
 //   BENCH_JSON {"bench":"datapath","workload":...,"packets":...,
-//               "wall_s":...,"packets_per_sec":...,"allocs_per_packet":...}
+//               "wall_s":...,"packets_per_sec":...,"allocs_per_packet":...,
+//               "retransmissions":...}
+//
+// `retransmissions` counts those inside the measured steady state: on the
+// lossy workloads it shows the zero-allocation window covered the
+// retransmission path (timers, ACK apply, re-posts), not just clean sends.
 //
 // Append these (with the commit id) to bench/trajectory.jsonl when a PR
 // touches the packet path. Scale run length with argv[1] (default 1.0;
@@ -99,6 +104,7 @@ struct Measured {
   std::uint64_t packets{0};
   double wall_s{0.0};
   double allocs_per_packet{0.0};
+  std::uint64_t retransmissions{0};  // in the measured steady state
 };
 
 void report(const char* workload, const Measured& m) {
@@ -109,10 +115,12 @@ void report(const char* workload, const Measured& m) {
               m.allocs_per_packet);
   std::printf("BENCH_JSON {\"bench\":\"datapath\",\"workload\":\"%s\","
               "\"packets\":%llu,\"wall_s\":%.6f,\"packets_per_sec\":%.6e,"
-              "\"allocs_per_packet\":%.6f,\"commit\":\"%s\"}\n",
+              "\"allocs_per_packet\":%.6f,\"retransmissions\":%llu,"
+              "\"commit\":\"%s\"}\n",
               workload, static_cast<unsigned long long>(m.packets), m.wall_s,
               static_cast<double>(m.packets) / m.wall_s,
-              m.allocs_per_packet, kGitCommit);
+              m.allocs_per_packet,
+              static_cast<unsigned long long>(m.retransmissions), kGitCommit);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +263,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
 
   const std::uint64_t pkts_per_msg = msg_bytes / qcfg.mtu;
   std::uint64_t allocs_at_steady = 0;
+  std::uint64_t retx_at_steady = 0;
   double t_steady = 0.0;
   int completed = 0;
   int posted = 0;
@@ -276,6 +285,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
       ++completed;
       if (completed == warmup) {
         allocs_at_steady = g_allocs.load();
+        retx_at_steady = tx->stats().rc_retransmissions;
         t_steady = now_s();
       }
       post_next();
@@ -296,6 +306,7 @@ Measured run_rc_lossy(int iterations, int warmup, std::size_t msg_bytes) {
   m.packets = (pkts_per_msg * static_cast<std::uint64_t>(iterations - warmup)) +
               tx->stats().rc_retransmissions;
   m.wall_s = wall;
+  m.retransmissions = tx->stats().rc_retransmissions - retx_at_steady;
   m.allocs_per_packet =
       static_cast<double>(allocs) / static_cast<double>(m.packets);
   return m;
@@ -365,6 +376,7 @@ Measured run_reliable_lossy(const char* workload,
     int posted{0};
     int completed{0};
     std::uint64_t allocs_at_steady{0};
+    std::uint64_t retx_at_steady{0};
     double t_steady{0.0};
 
     void post_pair() {
@@ -377,6 +389,7 @@ Measured run_reliable_lossy(const char* workload,
       ++completed;
       if (completed == warmup) {
         allocs_at_steady = g_allocs.load();
+        retx_at_steady = channel.retransmissions();
         t_steady = now_s();
       }
       post_pair();
@@ -397,6 +410,7 @@ Measured run_reliable_lossy(const char* workload,
   m.packets = (pkts_per_msg * static_cast<std::uint64_t>(iterations - warmup)) +
               channel.retransmissions();
   m.wall_s = wall;
+  m.retransmissions = channel.retransmissions() - driver.retx_at_steady;
   m.allocs_per_packet =
       static_cast<double>(allocs) / static_cast<double>(m.packets);
   return m;

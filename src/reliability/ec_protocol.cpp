@@ -1,7 +1,6 @@
 #include "reliability/ec_protocol.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -24,10 +23,23 @@ EcSender::EcSender(sim::Simulator& simulator, core::Qp& qp,
       config_(config),
       chunk_bytes_(qp.attr().chunk_size),
       slots_(qp.attr().max_inflight),
-      ack_words_(bitmap_words(config_.k)),
       subs_(slots_),
-      acked_(slots_ * ack_words_),
-      timers_(slots_ * config_.k),
+      retx_(simulator, qp,
+            {.layer = telemetry::FlightLayer::kEc,
+             .stride = config_.k,
+             .rto_s = config_.fallback_rto_s},
+            [this](std::uint64_t number, std::size_t offset, std::size_t len,
+                   bool) {
+              const SubState& sub = subs_[slot_of(number)];
+              const MsgState& msg = nodes_[sub.msg];
+              const std::uint8_t* src =
+                  msg.data + (number - msg.base) * config_.k * chunk_bytes_;
+              const bool ok =
+                  qp_.send_stream_continue(sub.data, src + offset, offset, len)
+                      .is_ok();
+              stats_.fallback_retransmissions += ok;
+              return ok;
+            }),
       data_blocks_(config_.k),
       parity_blocks_(config_.m) {
   assert(codec_.k() == config_.k && codec_.m() == config_.m);
@@ -52,13 +64,11 @@ void EcSender::register_metrics() {
   msg_completion_hist_ = tele_.histogram("msg_completion_s", 1e-6, 1e3);
 }
 
-EcSender::MsgState* EcSender::owner(std::uint64_t number) {
-  const SubState& sub = subs_[slot_of(number)];
-  if (sub.number != number || sub.msg >= nodes_.size()) return nullptr;
+EcSender::MsgState* EcSender::find(std::uint64_t base) {
+  const SubState& sub = subs_[slot_of(base)];
+  if (sub.number != base || sub.msg >= nodes_.size()) return nullptr;
   MsgState& msg = nodes_[sub.msg];
-  const bool ours = msg.live && number >= msg.base &&
-                    number < msg.base + msg.submessages;
-  return ours ? &msg : nullptr;
+  return msg.live && msg.base == base ? &msg : nullptr;
 }
 
 Status EcSender::write(const std::uint8_t* data, std::size_t length,
@@ -134,8 +144,6 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
     sub.number = handle->msg_number();
     sub.data = handle;
     sub.msg = node;
-    sub.done = false;
-    sub.in_fallback = false;
     stats_.data_chunks_sent += config_.k;
   }
   // Parity submessages: one-shot sends (never retransmitted).
@@ -185,14 +193,10 @@ void EcSender::on_control(const std::uint8_t* data, std::size_t length) {
       enter_fallback(*msg, ctl.indices);
       break;
     }
-    case ControlType::kSrAck: {
+    case ControlType::kSrAck:
       // Fallback per-submessage ACK: msg_number is the submessage's own.
-      MsgState* msg = owner(ctl.msg_number);
-      if (msg == nullptr) return;
-      apply_fallback_ack(
-          *msg, static_cast<std::size_t>(ctl.msg_number - msg->base), ctl);
+      retx_.apply_ack(ctl.msg_number, ctl);
       break;
-    }
     default:
       break;
   }
@@ -202,10 +206,7 @@ void EcSender::enter_fallback(MsgState& msg,
                               const std::vector<std::uint32_t>& failed) {
   const std::uint64_t base = msg.base;
   for (std::uint32_t sub : failed) {
-    if (sub >= msg.submessages) continue;
-    const std::size_t slot = slot_of(base + sub);
-    SubState& state = subs_[slot];
-    if (state.done || state.in_fallback) continue;
+    if (sub >= msg.submessages || retx_.tracking(base + sub)) continue;
     if (telemetry::tracing()) {
       telemetry::tracer().emit(sim_.now(),
                                telemetry::TraceEventType::kEcFallback, 0,
@@ -221,97 +222,12 @@ void EcSender::enter_fallback(MsgState& msg,
                                  qp_.control_qp_num(), "enter_fallback",
                                  sim_.now(), base, sub, config_.k);
     }
-    state.in_fallback = true;
-    state.acked_count = 0;
-    std::fill_n(acked_words(slot), ack_words_, 0);
-    std::fill_n(timers(slot), config_.k, sim::EventId{});
+    retx_.start(base + sub, config_.k * chunk_bytes_);
     for (std::size_t c = 0; c < config_.k; ++c) {
-      fallback_send(msg, sub, c);
-      arm_fallback_timer(base, sub, c);
+      retx_.send(base + sub, c, ChunkRetransmitter::Send::kRecover);
+      retx_.arm(base + sub, c);
     }
   }
-}
-
-void EcSender::fallback_send(const MsgState& msg, std::size_t sub,
-                             std::size_t chunk) {
-  const std::size_t sub_bytes = config_.k * chunk_bytes_;
-  const std::uint8_t* src = msg.data + sub * sub_bytes + chunk * chunk_bytes_;
-  core::SendHandle* handle = subs_[slot_of(msg.base + sub)].data;
-  qp_.send_stream_continue(handle, src, chunk * chunk_bytes_, chunk_bytes_);
-  ++stats_.fallback_retransmissions;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRetransmit,
-                             0, handle->msg_number(),
-                             static_cast<std::uint32_t>(chunk),
-                             telemetry::kNoImm, chunk_bytes_);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_retransmit(sim_.now(), handle->msg_number(),
-                                     static_cast<std::uint32_t>(chunk),
-                                     chunk_bytes_);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "retransmit", sim_.now(),
-                               handle->msg_number(), sub, chunk);
-  }
-}
-
-void EcSender::arm_fallback_timer(std::uint64_t base, std::size_t sub,
-                                  std::size_t chunk) {
-  if (find(base) == nullptr) return;
-  timers(slot_of(base + sub))[chunk] = sim_.schedule(
-      SimTime::from_seconds(config_.fallback_rto_s),
-      [this, base, sub, chunk] {
-        telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
-        const MsgState* m = find(base);
-        if (m == nullptr) return;
-        const std::size_t slot = slot_of(base + sub);
-        if (subs_[slot].done ||
-            ((acked_words(slot)[chunk >> 6] >> (chunk & 63)) & 1)) {
-          return;
-        }
-        fallback_send(*m, sub, chunk);
-        arm_fallback_timer(base, sub, chunk);
-      });
-}
-
-void EcSender::apply_fallback_ack(MsgState& msg, std::size_t sub,
-                                  const ControlMessage& ack) {
-  if (sub >= msg.submessages) return;
-  const std::size_t slot = slot_of(msg.base + sub);
-  SubState& state = subs_[slot];
-  // An ACK for a submessage that never entered fallback (e.g. the receiver
-  // recovered it after our NACK raced its parity) has nothing to cancel.
-  if (state.done || !state.in_fallback) return;
-  std::uint64_t* acked = acked_words(slot);
-  sim::EventId* chunk_timers = timers(slot);
-  const std::size_t cumulative =
-      std::min<std::size_t>(ack.cumulative, config_.k);
-  auto mark = [&](std::size_t c) {
-    const std::uint64_t bit = 1ULL << (c & 63);
-    if (acked[c >> 6] & bit) return;
-    acked[c >> 6] |= bit;
-    ++state.acked_count;
-    if (chunk_timers[c].valid()) {
-      sim_.cancel(chunk_timers[c]);
-      chunk_timers[c] = {};
-    }
-  };
-  for (std::size_t c = 0; c < cumulative; ++c) mark(c);
-  // Word scan: countr_zero hops between acked chunks instead of testing
-  // all 64 bit positions per selective word.
-  for (std::size_t w = 0; w < ack.selective.size(); ++w) {
-    std::uint64_t word = ack.selective[w];
-    const std::size_t word_base = ack.selective_base + w * 64;
-    while (word != 0) {
-      const std::size_t c =
-          word_base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      if (c < config_.k) mark(c);
-    }
-  }
-  if (state.acked_count == config_.k) state.done = true;
 }
 
 void EcSender::finish(std::uint64_t base) {
@@ -331,14 +247,8 @@ void EcSender::finish(std::uint64_t base) {
   }
   const std::size_t L = msg.submessages;
   for (std::size_t s = 0; s < L; ++s) {
-    const std::size_t slot = slot_of(base + s);
-    const SubState& sub = subs_[slot];
-    if (sub.in_fallback) {
-      const sim::EventId* chunk_timers = timers(slot);
-      for (std::size_t c = 0; c < config_.k; ++c) {
-        if (chunk_timers[c].valid()) sim_.cancel(chunk_timers[c]);
-      }
-    }
+    const SubState& sub = subs_[slot_of(base + s)];
+    retx_.stop(base + s);
     // A stream whose CTS never arrived has everything still queued; the
     // receiver completed without it (parity recovery), so it will never
     // drain — abort it rather than release it.
@@ -736,15 +646,8 @@ void EcReceiver::fallback_ack_tick(std::uint64_t base) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kEc);
   MsgState* msg = find(base);
   if (msg == nullptr || msg->complete) return;
-  send_fallback_acks(*msg);
-  msg->ack_timer =
-      sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s),
-                    [this, base] { fallback_ack_tick(base); });
-}
-
-void EcReceiver::send_fallback_acks(MsgState& msg) {
-  for (std::size_t s = 0; s < msg.submessages; ++s) {
-    const StreamState& data = data_stream(msg, s);
+  for (std::size_t s = 0; s < msg->submessages; ++s) {
+    const StreamState& data = data_stream(*msg, s);
     if (data.recovered) continue;
     const AtomicBitmap* bits = nullptr;
     qp_.recv_bitmap_get(data.handle, &bits);
@@ -760,6 +663,9 @@ void EcReceiver::send_fallback_acks(MsgState& msg) {
     encode_control(ack, wire_scratch_);
     control_.send(wire_scratch_.data(), wire_scratch_.size());
   }
+  msg->ack_timer =
+      sim_.schedule(SimTime::from_seconds(config_.fallback_ack_interval_s),
+                    [this, base] { fallback_ack_tick(base); });
 }
 
 void EcReceiver::send_ec_ack(std::uint64_t base) {

@@ -23,6 +23,7 @@
 #include "common/status.hpp"
 #include "ec/codec.hpp"
 #include "reliability/ack_codec.hpp"
+#include "reliability/chunk_retransmitter.hpp"
 #include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
 #include "sdr/sdr.hpp"
@@ -36,7 +37,7 @@ struct EcProtoConfig {
   std::size_t m{8};
   /// FTO slack beyond injection, in RTTs (paper's beta = 0.5 alpha).
   double beta{0.5};
-  /// Fallback Selective Repeat RTO.
+  /// Fallback Selective Repeat RTO, backed off and jittered as SR's.
   double fallback_rto_s{0.075};
   /// Fallback receiver ACK cadence.
   double fallback_ack_interval_s{0.005};
@@ -111,37 +112,18 @@ class EcSender {
     core::SendHandle* data{nullptr};    // streaming, kept open
     core::SendHandle* parity{nullptr};  // one-shot, released at write()
     std::uint32_t msg{0};               // node index
-    std::uint16_t acked_count{0};       // fallback: chunks acked
-    bool done{false};
-    bool in_fallback{false};
   };
 
   std::size_t slot_of(std::uint64_t number) const {
     return static_cast<std::size_t>(number % slots_);
   }
-  /// The live message a data stream `number` belongs to, or nullptr.
-  MsgState* owner(std::uint64_t number);
-  MsgState* find(std::uint64_t base) {
-    MsgState* msg = owner(base);
-    return msg != nullptr && msg->base == base ? msg : nullptr;
-  }
-  // Fallback SR state of the submessage at `slot`: its chunk-ack bitmap
-  // words and one timer per chunk.
-  std::uint64_t* acked_words(std::size_t slot) {
-    return acked_.data() + slot * ack_words_;
-  }
-  sim::EventId* timers(std::size_t slot) {
-    return timers_.data() + slot * config_.k;
-  }
+  MsgState* find(std::uint64_t base);
 
   void register_metrics();
   void on_control(const std::uint8_t* data, std::size_t length);
+  /// Hands the failed submessages to the retransmitter: a data stream it
+  /// tracks is in fallback.
   void enter_fallback(MsgState& msg, const std::vector<std::uint32_t>& failed);
-  void fallback_send(const MsgState& msg, std::size_t sub, std::size_t chunk);
-  void arm_fallback_timer(std::uint64_t base, std::size_t sub,
-                          std::size_t chunk);
-  void apply_fallback_ack(MsgState& msg, std::size_t sub,
-                          const ControlMessage& ack);
   void finish(std::uint64_t base);
 
   sim::Simulator& sim_;
@@ -152,13 +134,11 @@ class EcSender {
   EcProtoConfig config_;
   std::size_t chunk_bytes_;
   std::size_t slots_;
-  std::size_t ack_words_;
   std::vector<SubState> subs_;
-  std::vector<std::uint64_t> acked_;
-  std::vector<sim::EventId> timers_;
   std::vector<MsgState> nodes_;
   std::vector<std::uint32_t> free_nodes_;
   std::size_t inflight_{0};
+  ChunkRetransmitter retx_;  // fallback Selective Repeat, stride k
   // The last finished message's parity buffer, kept for the next write: a
   // closed loop reuses it every message. Only one is kept, because an open
   // loop rarely reuses one, and a buffer held here is memory no other
@@ -255,7 +235,6 @@ class EcReceiver {
   void arm_fto(MsgState& msg);
   void on_fto(std::uint64_t base);
   void fallback_ack_tick(std::uint64_t base);
-  void send_fallback_acks(MsgState& msg);
   void send_ec_ack(std::uint64_t base);
   /// Deregister and free a parity buffer (empty is fine).
   void free_parity(ParityBuffer& buffer);

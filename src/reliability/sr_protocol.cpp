@@ -21,22 +21,39 @@ SrSender::SrSender(sim::Simulator& simulator, core::Qp& qp,
       control_(control),
       profile_(profile),
       config_(config),
-      chunk_bytes_(qp.attr().chunk_size) {
-  RttEstimator::Params est_params;
-  est_params.initial_rto_s = config_.rto_s;  // static RTO seeds the estimator
-  // Principled floor: an acknowledgment can never return faster than the
-  // round trip plus the receiver's ACK cadence; an RTO below that would
-  // guarantee spurious retransmission storms.
-  est_params.min_rto_s = profile.rtt_s + 2.0 * config_.ack_interval_s;
-  estimator_ = RttEstimator(est_params);
+      messages_(qp.attr().max_inflight),
+      // The static RTO seeds the estimator. Its floor: no ACK returns faster
+      // than the round trip plus the receiver's ACK cadence, and an RTO
+      // below that guarantees spurious retransmission storms.
+      retx_(simulator, qp,
+            {.layer = telemetry::FlightLayer::kSr,
+             .stride = qp.attr().max_chunks_per_msg(),
+             .rto_s = config.rto_s,
+             .adaptive_rto = config.adaptive_rto,
+             .estimator = {.min_rto_s = profile.rtt_s +
+                                        2.0 * config.ack_interval_s,
+                           .initial_rto_s = config.rto_s}},
+            [this](std::uint64_t number, std::size_t offset, std::size_t len,
+                   bool retransmission) {
+              const MsgState& msg = slot(number);
+              const Status s = qp_.send_stream_continue(
+                  msg.handle, msg.data + offset, offset, len);
+              if (!s) {
+                SDR_WARN("SR chunk injection failed: %s",
+                         std::string(to_string(s.code())).c_str());
+                return false;
+              }
+              if (retransmission) ++stats_.retransmissions;
+              ++stats_.chunks_sent;
+              return true;
+            }) {
   control_.set_receiver(
       [this](const std::uint8_t* d, std::size_t n) { on_control(d, n); });
   // Retransmission timers start when the receiver's CTS arrives (that is
   // when injection actually begins); arming them at write() time would
   // spuriously fire while the chunks are still queued behind the CTS.
-  qp_.set_cts_handler([this](std::uint64_t msg_number) {
-    arm_all_timers(msg_number);
-  });
+  qp_.set_cts_handler(
+      [this](std::uint64_t msg_number) { retx_.start_clock(msg_number); });
   if (telemetry::enabled()) register_metrics();
 }
 
@@ -48,12 +65,11 @@ void SrSender::register_metrics() {
   tele_.bind_counter("retransmissions", &stats_.retransmissions);
   tele_.bind_counter("acks_received", &stats_.acks_received);
   tele_.bind_counter("nacks_received", &stats_.nacks_received);
-  tele_.bind_gauge("srtt_s", [this] { return estimator_.srtt_s(); });
-  tele_.bind_gauge("rto_s", [this] { return current_rto_s(); });
-  tele_.bind_gauge("inflight_messages", [this] {
-    return static_cast<double>(messages_.size());
-  });
-  rtt_hist_ = tele_.histogram("rtt_sample_s", 1e-6, 100.0);
+  tele_.bind_gauge("srtt_s", [this] { return retx_.estimator().srtt_s(); });
+  tele_.bind_gauge("rto_s", [this] { return retx_.rto_s(); });
+  tele_.bind_gauge("inflight_messages",
+                   [this] { return static_cast<double>(inflight_); });
+  retx_.record_rtt_samples(tele_.histogram("rtt_sample_s", 1e-6, 100.0));
   chunk_completion_hist_ = tele_.histogram("chunk_completion_s", 1e-6, 1e3);
   msg_completion_hist_ = tele_.histogram("msg_completion_s", 1e-6, 1e3);
 }
@@ -63,169 +79,67 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   if (data == nullptr || length == 0) {
     return Status(StatusCode::kInvalidArgument, "empty write");
   }
+  if (length > qp_.attr().max_msg_size) {
+    return Status(StatusCode::kOutOfRange,
+                  "SR write exceeds the maximum message size");
+  }
   core::SendHandle* handle = nullptr;
   if (Status s = qp_.send_stream_start(0, false, &handle); !s) return s;
 
   const std::uint64_t msg_number = handle->msg_number();
-  MsgState* state;
-  if (spare_) {
-    // Reuse the node (and the per-chunk vector capacity inside it) of a
-    // finished message instead of allocating a fresh one.
-    spare_.key() = msg_number;
-    state = &messages_.insert(std::move(spare_)).position->second;
-  } else {
-    state = &messages_[msg_number];
-  }
-  MsgState& msg = *state;
+  MsgState& msg = slot(msg_number);
   msg.handle = handle;
   msg.data = data;
-  msg.length = length;
-  msg.chunks = (length + chunk_bytes_ - 1) / chunk_bytes_;
-  msg.acked_count = 0;
-  msg.acked.resize(msg.chunks);
-  msg.timers.assign(msg.chunks, sim::EventId{});
-  msg.sent_at_s.assign(msg.chunks, -1.0);
-  msg.retries.assign(msg.chunks, 0);
-  msg.retransmitted.resize(msg.chunks);
-  msg.cts_at_s = -1.0;
   msg.write_at_s = sim_.now().seconds();
   msg.done = std::move(done);
+  retx_.start(msg_number, length);
+  ++inflight_;
   ++stats_.messages;
+  const std::size_t chunks = retx_.chunks(msg_number);
   if (telemetry::flight_recording()) {
     telemetry::flight().record(telemetry::FlightLayer::kSr,
                                qp_.control_qp_num(), "write", sim_.now(),
-                               msg_number, length, msg.chunks);
+                               msg_number, length, chunks);
   }
 
-  for (std::size_t c = 0; c < msg.chunks; ++c) {
-    send_chunk(msg, c, /*retransmission=*/false);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    retx_.send(msg_number, c, ChunkRetransmitter::Send::kFirst);
   }
-  if (handle->cts_ready()) arm_all_timers(msg_number);
+  if (handle->cts_ready()) retx_.start_clock(msg_number);
   return Status::ok();
-}
-
-void SrSender::arm_all_timers(std::uint64_t msg_number) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  msg.cts_at_s = sim_.now().seconds();
-  for (std::size_t c = 0; c < msg.chunks; ++c) {
-    if (!msg.acked.test(c) && !msg.timers[c].valid()) arm_timer(msg_number, c);
-  }
-}
-
-void SrSender::send_chunk(MsgState& msg, std::size_t chunk,
-                          bool retransmission) {
-  const std::size_t offset = chunk * chunk_bytes_;
-  const std::size_t len = std::min(chunk_bytes_, msg.length - offset);
-  if (retransmission && telemetry::tracing()) {
-    // Before the injection: the re-post can traverse the channel in the
-    // same sim-time instant, and the timeline should read
-    // retransmit -> posted -> tx.
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRetransmit,
-                             0, msg.handle->msg_number(),
-                             static_cast<std::uint32_t>(chunk),
-                             telemetry::kNoImm, len);
-  }
-  if (retransmission && telemetry::spanning()) {
-    // Also before injection, so the fresh attempt span inherits the pending
-    // drop/RTO cause and the flow arrow points at it.
-    telemetry::spans().on_retransmit(sim_.now(), msg.handle->msg_number(),
-                                     static_cast<std::uint32_t>(chunk), len);
-  }
-  if (retransmission && telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "retransmit", sim_.now(),
-                               msg.handle->msg_number(), chunk,
-                               msg.retries[chunk], len);
-  }
-  const Status s =
-      qp_.send_stream_continue(msg.handle, msg.data + offset, offset, len);
-  if (!s) {
-    SDR_WARN("SR chunk injection failed: %s", std::string(to_string(s.code())).c_str());
-    return;
-  }
-  msg.sent_at_s[chunk] = sim_.now().seconds();
-  if (retransmission) {
-    msg.retransmitted.set(chunk);
-    if (msg.retries[chunk] < 8) ++msg.retries[chunk];
-    ++stats_.retransmissions;
-  }
-  ++stats_.chunks_sent;
-}
-
-void SrSender::arm_timer(std::uint64_t msg_number, std::size_t chunk) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  // Per-chunk exponential backoff (capped at 16x — the base RTO is already
-  // conservative) plus up to 25% jitter: without jitter, the RTOs of all
-  // chunks lost in one burst expire together and the retransmission storm
-  // tail-drops itself in congested queues.
-  const double backoff =
-      static_cast<double>(1u << std::min<std::uint8_t>(
-          it->second.retries[chunk], 4));
-  const double jitter = 1.0 + 0.25 * rng_.next_double();
-  it->second.timers[chunk] = sim_.schedule(
-      SimTime::from_seconds(current_rto_s() * backoff * jitter),
-      [this, msg_number, chunk] {
-        telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-        const auto mit = messages_.find(msg_number);
-        if (mit == messages_.end()) return;
-        MsgState& msg = mit->second;
-        if (msg.acked.test(chunk)) return;
-        if (telemetry::tracing()) {
-          telemetry::tracer().emit(sim_.now(),
-                                   telemetry::TraceEventType::kRtoFired, 0,
-                                   msg_number,
-                                   static_cast<std::uint32_t>(chunk));
-        }
-        if (telemetry::spanning()) {
-          telemetry::spans().on_rto(sim_.now(), msg_number,
-                                    static_cast<std::uint32_t>(chunk));
-        }
-        if (telemetry::flight_recording()) {
-          telemetry::flight().record(
-              telemetry::FlightLayer::kSr, qp_.control_qp_num(), "rto_fired",
-              sim_.now(), msg_number, chunk, msg.retries[chunk],
-              static_cast<std::uint64_t>(current_rto_s() * 1e6));
-        }
-        send_chunk(msg, chunk, /*retransmission=*/true);
-        arm_timer(msg_number, chunk);
-      });
 }
 
 void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
   if (!decode_control(data, length, ctrl_scratch_)) return;
   const ControlMessage& msg = ctrl_scratch_;
-  const auto it = messages_.find(msg.msg_number);
-  if (it == messages_.end()) return;  // stale ACK for a finished message
+  const std::uint64_t number = msg.msg_number;
+  // A stale ACK for a finished message.
+  if (!retx_.tracking(number)) return;
 
   switch (msg.type) {
-    case ControlType::kSrAck:
+    case ControlType::kSrAck: {
       ++stats_.acks_received;
-      apply_ack(it->second, msg);
+      const std::size_t newly_acked = retx_.apply_ack(number, msg);
+      for (std::size_t c = 0; c < newly_acked; ++c) {
+        chunk_completion_hist_.record(sim_.now().seconds() -
+                                      slot(number).write_at_s);
+      }
       if (telemetry::flight_recording()) {
         telemetry::flight().record(telemetry::FlightLayer::kSr,
                                    qp_.control_qp_num(), "ack_applied",
-                                   sim_.now(), msg.msg_number, msg.cumulative,
-                                   it->second.acked_count, it->second.chunks);
+                                   sim_.now(), number, msg.cumulative,
+                                   retx_.acked(number), retx_.chunks(number));
       }
       break;
+    }
     case ControlType::kSrNack: {
       ++stats_.nacks_received;
-      MsgState& state = it->second;
-      for (std::uint32_t chunk : msg.indices) {
-        if (chunk >= state.chunks || state.acked.test(chunk)) continue;
-        if (state.timers[chunk].valid()) sim_.cancel(state.timers[chunk]);
-        send_chunk(state, chunk, /*retransmission=*/true);
-        arm_timer(msg.msg_number, chunk);
-      }
+      for (std::uint32_t chunk : msg.indices) retx_.retransmit(number, chunk);
       if (telemetry::flight_recording()) {
         telemetry::flight().record(telemetry::FlightLayer::kSr,
                                    qp_.control_qp_num(), "nack_applied",
-                                   sim_.now(), msg.msg_number,
-                                   msg.indices.size(),
+                                   sim_.now(), number, msg.indices.size(),
                                    msg.indices.empty() ? 0 : msg.indices[0]);
       }
       break;
@@ -233,77 +147,24 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
     default:
       break;
   }
-  // apply_ack may have finished the message.
-  if (const auto again = messages_.find(msg.msg_number);
-      again != messages_.end() &&
-      again->second.acked_count == again->second.chunks) {
-    finish(msg.msg_number);
-  }
-}
-
-void SrSender::apply_ack(MsgState& msg, const ControlMessage& ack) {
-  const std::size_t cumulative =
-      std::min<std::size_t>(ack.cumulative, msg.chunks);
-  for (std::size_t c = 0; c < cumulative; ++c) mark_acked(msg, c);
-  // Word scan over the selective window: countr_zero jumps straight to the
-  // next set bit; clearing it with `word & (word - 1)` makes the loop cost
-  // proportional to acked chunks, not window width.
-  for (std::size_t w = 0; w < ack.selective.size(); ++w) {
-    std::uint64_t word = ack.selective[w];
-    const std::size_t base = ack.selective_base + w * 64;
-    while (word != 0) {
-      const std::size_t chunk =
-          base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      if (chunk < msg.chunks) mark_acked(msg, chunk);
-    }
-  }
-}
-
-void SrSender::mark_acked(MsgState& msg, std::size_t chunk) {
-  if (msg.acked.test(chunk)) return;
-  msg.acked.set(chunk);
-  ++msg.acked_count;
-  if (msg.timers[chunk].valid()) {
-    sim_.cancel(msg.timers[chunk]);
-    msg.timers[chunk] = {};
-  }
-  if (!msg.retransmitted.test(chunk) && msg.sent_at_s[chunk] >= 0.0) {
-    // Karn: only never-retransmitted chunks yield unambiguous RTT samples.
-    // Chunks queued before the CTS only start travelling when it arrives.
-    const double departed = std::max(msg.sent_at_s[chunk], msg.cts_at_s);
-    const double sample = sim_.now().seconds() - departed;
-    if (config_.adaptive_rto) estimator_.update(sample);
-    rtt_hist_.record(sample);
-  }
-  if (chunk_completion_hist_.live() && msg.write_at_s >= 0.0) {
-    chunk_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
-  }
+  if (retx_.complete(number)) finish(number);
 }
 
 void SrSender::finish(std::uint64_t msg_number) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  // Extract rather than erase: the node (with its vector capacity) is kept
-  // for the next write(). The callback runs after the extraction so a
-  // re-entrant write() sees a consistent map either way.
-  auto node = messages_.extract(it);
-  MsgState& msg = node.mapped();
-  if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
-    msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
-  }
+  MsgState& msg = slot(msg_number);
+  msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   if (telemetry::flight_recording()) {
     telemetry::flight().record(telemetry::FlightLayer::kSr,
                                qp_.control_qp_num(), "msg_done", sim_.now(),
-                               msg_number, msg.chunks,
+                               msg_number, retx_.chunks(msg_number),
                                stats_.retransmissions);
   }
+  retx_.stop(msg_number);
+  --inflight_;
   qp_.send_stream_end(msg.handle);
   qp_.send_release(msg.handle);  // recycled once its packets leave the NIC
+  // Last: the callback may write() a new message into this slot.
   DoneFn done = std::move(msg.done);
-  msg.handle = nullptr;
-  msg.data = nullptr;
-  spare_ = std::move(node);
   if (done) done(Status::ok());
 }
 
@@ -318,7 +179,8 @@ SrReceiver::SrReceiver(sim::Simulator& simulator, core::Qp& qp,
       qp_(qp),
       control_(control),
       profile_(profile),
-      config_(config) {
+      config_(config),
+      messages_(qp.attr().max_inflight) {
   qp_.set_recv_event_handler(
       [this](const core::RecvEvent& event) { on_chunk_event(event); });
   if (telemetry::enabled()) register_metrics();
@@ -330,9 +192,8 @@ void SrReceiver::register_metrics() {
   tele_.bind_counter("messages", &stats_.messages);
   tele_.bind_counter("acks_sent", &stats_.acks_sent);
   tele_.bind_counter("nacks_sent", &stats_.nacks_sent);
-  tele_.bind_gauge("inflight_messages", [this] {
-    return static_cast<double>(messages_.size());
-  });
+  tele_.bind_gauge("inflight_messages",
+                   [this] { return static_cast<double>(inflight_); });
 }
 
 Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
@@ -340,21 +201,16 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
   core::RecvHandle* handle = nullptr;
   if (Status s = qp_.recv_post(buffer, length, mr, &handle); !s) return s;
   const std::uint64_t msg_number = handle->msg_number();
-  MsgState* state;
-  if (spare_) {
-    // Reuse the completed-message node, keeping its vector capacity.
-    spare_.key() = msg_number;
-    state = &messages_.insert(std::move(spare_)).position->second;
-  } else {
-    state = &messages_[msg_number];
-  }
-  MsgState& msg = *state;
+  MsgState& msg = messages_[msg_number % messages_.size()];
   msg.handle = handle;
+  msg.number = msg_number;
   msg.chunks = handle->chunk_count();
   msg.done = std::move(done);
-  msg.last_nack_s.assign(msg.chunks, -1.0);
+  // The slot's vector keeps its capacity for the slot's next message.
+  if (config_.nack_enabled) msg.last_nack_s.assign(msg.chunks, -1.0);
   msg.complete = false;
   msg.data_seen = false;
+  ++inflight_;
   ++stats_.messages;
   ack_tick(msg_number);
   if (config_.cts_retry_s > 0.0) {
@@ -365,21 +221,19 @@ Status SrReceiver::expect(std::uint8_t* buffer, std::size_t length,
 }
 
 void SrReceiver::cts_tick(std::uint64_t msg_number) {
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
+  const MsgState* msg = find(msg_number);
   // Any data means the sender got a CTS; the retry has done its job.
-  if (msg.complete || msg.data_seen) return;
-  qp_.resend_cts(msg.handle);
+  if (msg == nullptr || msg->complete || msg->data_seen) return;
+  qp_.resend_cts(msg->handle);
   sim_.schedule(SimTime::from_seconds(config_.cts_retry_s),
                 [this, msg_number] { cts_tick(msg_number); });
 }
 
 void SrReceiver::on_chunk_event(const core::RecvEvent& event) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-  const auto it = messages_.find(event.handle->msg_number());
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
+  MsgState* found = find(event.handle->msg_number());
+  if (found == nullptr) return;
+  MsgState& msg = *found;
   msg.data_seen = true;
   if (msg.complete) return;
 
@@ -489,25 +343,28 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
 
 void SrReceiver::ack_tick(std::uint64_t msg_number) {
   telemetry::ProfScope prof(telemetry::ProfCategory::kSr);
-  const auto it = messages_.find(msg_number);
-  if (it == messages_.end()) return;
-  MsgState& msg = it->second;
-  if (msg.complete) return;
-  send_ack(msg);
+  MsgState* msg = find(msg_number);
+  if (msg == nullptr || msg->complete) return;
+  send_ack(*msg);
   sim_.schedule(SimTime::from_seconds(config_.ack_interval_s),
                 [this, msg_number] { ack_tick(msg_number); });
 }
 
-void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
-  msg.complete = true;
-  // Final ACK (repeated to survive control-path drops).
-  const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
+void SrReceiver::send_final_ack(std::uint64_t msg_number,
+                                std::uint32_t cumulative) {
   ControlMessage& ack = ctrl_scratch_;
   reset_control(ack, ControlType::kSrAck, msg_number);
   ack.cumulative = cumulative;
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
+}
+
+void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
+  msg.complete = true;
+  // Final ACK (repeated to survive control-path drops).
+  const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
+  send_final_ack(msg_number, cumulative);
   if (telemetry::tracing()) {
     telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kAckSent,
                              0, msg_number, cumulative);
@@ -525,21 +382,14 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
     sim_.schedule(SimTime::from_seconds(config_.ack_interval_s *
                                         static_cast<double>(r)),
                   [this, msg_number, cumulative] {
-                    ControlMessage& repeat = ctrl_scratch_;
-                    reset_control(repeat, ControlType::kSrAck, msg_number);
-                    repeat.cumulative = cumulative;
-                    encode_control(repeat, wire_scratch_);
-                    control_.send(wire_scratch_.data(), wire_scratch_.size());
-                    ++stats_.acks_sent;
+                    send_final_ack(msg_number, cumulative);
                   });
   }
   qp_.recv_complete(msg.handle);
   DoneFn done = std::move(msg.done);
-  // Keep the node for the next expect() instead of deallocating it.
-  if (auto node = messages_.extract(msg_number)) {
-    node.mapped().handle = nullptr;
-    spare_ = std::move(node);
-  }
+  msg.done = nullptr;
+  msg.handle = nullptr;  // frees the slot
+  --inflight_;
   if (done) done(Status::ok());
 }
 

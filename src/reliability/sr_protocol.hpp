@@ -15,13 +15,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitmap.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "reliability/ack_codec.hpp"
+#include "reliability/chunk_retransmitter.hpp"
 #include "reliability/control_link.hpp"
 #include "reliability/profile.hpp"
 #include "reliability/rtt_estimator.hpp"
@@ -90,44 +89,26 @@ class SrSender {
   /// harness): replaces the static RTO for timers armed from now on.
   /// Already-armed chunk timers keep their old deadline — exactly the race
   /// the harness wants to explore. No effect while adaptive_rto is on.
-  void set_static_rto(double rto_s) { config_.rto_s = rto_s; }
+  void set_static_rto(double rto_s) { retx_.set_static_rto(rto_s); }
 
   const SrSenderStats& stats() const { return stats_; }
+  const RttEstimator& rtt_estimator() const { return retx_.estimator(); }
 
  private:
+  // Per-message state at its SDR slot (msg_number % max_inflight), which
+  // it holds until finish(); retx_.tracking(number) is the liveness test.
   struct MsgState {
     core::SendHandle* handle{nullptr};
     const std::uint8_t* data{nullptr};
-    std::size_t length{0};
-    std::size_t chunks{0};
-    std::size_t acked_count{0};
-    Bitmap acked;
-    std::vector<sim::EventId> timers;
-    // Adaptive RTO bookkeeping: last transmission time per chunk, and
-    // whether the chunk was ever retransmitted (Karn's algorithm excludes
-    // retransmitted chunks from RTT sampling). cts_at_s records when the
-    // receiver's CTS arrived — chunks issued before it only start
-    // travelling then, so RTT samples are measured from max(sent, cts).
-    // retries drives per-chunk exponential backoff of the timer.
-    std::vector<double> sent_at_s;
-    std::vector<std::uint8_t> retries;
-    Bitmap retransmitted;
-    double cts_at_s{-1.0};
     double write_at_s{-1.0};  // write() sim time (completion latency)
     DoneFn done;
   };
 
-  double current_rto_s() const {
-    return config_.adaptive_rto ? estimator_.rto_s() : config_.rto_s;
+  MsgState& slot(std::uint64_t msg_number) {
+    return messages_[msg_number % messages_.size()];
   }
-
   void register_metrics();
-  void send_chunk(MsgState& msg, std::size_t chunk, bool retransmission);
-  void arm_timer(std::uint64_t msg_number, std::size_t chunk);
-  void arm_all_timers(std::uint64_t msg_number);
   void on_control(const std::uint8_t* data, std::size_t length);
-  void apply_ack(MsgState& msg, const ControlMessage& ack);
-  void mark_acked(MsgState& msg, std::size_t chunk);
   void finish(std::uint64_t msg_number);
 
   sim::Simulator& sim_;
@@ -135,26 +116,16 @@ class SrSender {
   ControlLink& control_;
   LinkProfile profile_;
   SrProtoConfig config_;
-  std::size_t chunk_bytes_;
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  /// Finished-message state kept for reuse: the map node and the per-chunk
-  /// vectors inside it retain their capacity, so a steady stream of
-  /// messages allocates nothing after the first (lossy SR is part of the
-  /// zero-alloc datapath gate).
-  std::unordered_map<std::uint64_t, MsgState>::node_type spare_;
+  std::vector<MsgState> messages_;
+  std::size_t inflight_{0};
+  ChunkRetransmitter retx_;
   /// Decode scratch: reused per control message, capacity sticks.
   ControlMessage ctrl_scratch_;
-  RttEstimator estimator_;
-  Rng rng_{0x5EEDCAFE};  // retransmission-timer jitter
   SrSenderStats stats_;
-  telemetry::HistogramHandle rtt_hist_;  // adaptive-RTO RTT samples
   // Tail-latency rollups: write() -> chunk acked / message finished.
   telemetry::HistogramHandle chunk_completion_hist_;
   telemetry::HistogramHandle msg_completion_hist_;
   telemetry::Scope tele_;  // last member: unbinds before stats_ dies
-
- public:
-  const RttEstimator& rtt_estimator() const { return estimator_; }
 };
 
 struct SrReceiverStats {
@@ -178,8 +149,10 @@ class SrReceiver {
   const SrReceiverStats& stats() const { return stats_; }
 
  private:
+  // Per-message state at its SDR slot, held until recv_complete.
   struct MsgState {
-    core::RecvHandle* handle{nullptr};
+    core::RecvHandle* handle{nullptr};  // null: the slot is free
+    std::uint64_t number{0};
     std::size_t chunks{0};
     DoneFn done;
     std::vector<double> last_nack_s;  // per-chunk NACK suppression
@@ -187,12 +160,17 @@ class SrReceiver {
     bool data_seen{false};  // stops the CTS retry tick
   };
 
+  MsgState* find(std::uint64_t msg_number) {
+    MsgState& msg = messages_[msg_number % messages_.size()];
+    return msg.handle != nullptr && msg.number == msg_number ? &msg : nullptr;
+  }
   void register_metrics();
   void on_chunk_event(const core::RecvEvent& event);
   void send_ack(MsgState& msg);
   void maybe_nack(MsgState& msg, std::size_t completed_chunk);
   void ack_tick(std::uint64_t msg_number);
   void cts_tick(std::uint64_t msg_number);
+  void send_final_ack(std::uint64_t msg_number, std::uint32_t cumulative);
   void complete(MsgState& msg, std::uint64_t msg_number);
 
   sim::Simulator& sim_;
@@ -200,9 +178,8 @@ class SrReceiver {
   ControlLink& control_;
   LinkProfile profile_;
   SrProtoConfig config_;
-  std::unordered_map<std::uint64_t, MsgState> messages_;
-  /// Completed-message node kept for reuse (see SrSender::spare_).
-  std::unordered_map<std::uint64_t, MsgState>::node_type spare_;
+  std::vector<MsgState> messages_;
+  std::size_t inflight_{0};
   /// ACK/NACK build + wire scratch: reused per control send so the
   /// steady-state ACK path allocates nothing.
   ControlMessage ctrl_scratch_;

@@ -44,7 +44,7 @@ void Registry::clear() {
   entries_.clear();
   by_name_.clear();
   instance_counters_.clear();
-  next_id_ = 1;
+  ++generation_;
 }
 
 Counter Registry::counter(const std::string& name) {
@@ -52,14 +52,7 @@ Counter Registry::counter(const std::string& name) {
   if (const Entry* e = find(name); e != nullptr && e->owned_counter) {
     return Counter{e->owned_counter.get()};
   }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kCounter;
-  e.owned_counter = std::make_unique<std::uint64_t>(0);
-  e.counter = e.owned_counter.get();
-  std::uint64_t* slot = e.owned_counter.get();
-  add_entry(std::move(e));
-  return Counter{slot};
+  return own_counter(add_entry(name, MetricKind::kCounter));
 }
 
 Gauge Registry::gauge(const std::string& name) {
@@ -67,13 +60,7 @@ Gauge Registry::gauge(const std::string& name) {
   if (const Entry* e = find(name); e != nullptr && e->owned_gauge) {
     return Gauge{e->owned_gauge.get()};
   }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kGauge;
-  e.owned_gauge = std::make_unique<double>(0.0);
-  double* slot = e.owned_gauge.get();
-  add_entry(std::move(e));
-  return Gauge{slot};
+  return own_gauge(add_entry(name, MetricKind::kGauge));
 }
 
 HistogramHandle Registry::histogram(const std::string& name, double min_value,
@@ -82,14 +69,26 @@ HistogramHandle Registry::histogram(const std::string& name, double min_value,
   if (const Entry* e = find(name); e != nullptr && e->owned_hist) {
     return HistogramHandle{e->owned_hist.get()};
   }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kHistogram;
+  return own_histogram(add_entry(name, MetricKind::kHistogram), min_value,
+                       max_value);
+}
+
+Counter Registry::own_counter(Entry& e) {
+  e.owned_counter = std::make_unique<std::uint64_t>(0);
+  e.counter = e.owned_counter.get();
+  return Counter{e.owned_counter.get()};
+}
+
+Gauge Registry::own_gauge(Entry& e) {
+  e.owned_gauge = std::make_unique<double>(0.0);
+  return Gauge{e.owned_gauge.get()};
+}
+
+HistogramHandle Registry::own_histogram(Entry& e, double min_value,
+                                        double max_value) {
   e.owned_hist = std::make_unique<Histogram>(min_value, max_value);
   e.hist = e.owned_hist.get();
-  Histogram* slot = e.owned_hist.get();
-  add_entry(std::move(e));
-  return HistogramHandle{slot};
+  return HistogramHandle{e.owned_hist.get()};
 }
 
 std::string Registry::instance_name(const std::string& base) {
@@ -160,24 +159,20 @@ std::string Registry::to_jsonl() const {
   return out;
 }
 
-std::uint64_t Registry::add_entry(Entry e) {
-  e.id = next_id_++;
-  const std::uint64_t id = e.id;
-  by_name_[e.name] = entries_.size();
-  entries_.push_back(std::move(e));
-  return id;
+Registry::Entry& Registry::add_entry(std::string name, MetricKind kind) {
+  by_name_[name] = entries_.size();
+  Entry& e = entries_.emplace_back();
+  e.name = std::move(name);
+  e.kind = kind;
+  return e;
 }
 
-void Registry::freeze_entries(const std::vector<std::uint64_t>& ids) {
-  if (ids.empty() || entries_.empty()) return;
-  auto listed = [&ids](const Entry& e) {
-    for (const std::uint64_t id : ids) {
-      if (e.id == id) return true;
-    }
-    return false;
-  };
-  for (Entry& e : entries_) {
-    if (!listed(e)) continue;
+void Registry::freeze_entries(std::uint64_t generation,
+                              const std::vector<std::size_t>& positions) {
+  // Entries from before a clear() are gone; their positions name others.
+  if (generation != generation_) return;
+  for (const std::size_t position : positions) {
+    Entry& e = entries_[position];
     // Copy the last value out of the component that is about to die, so the
     // metric survives for end-of-run export (bench --telemetry-out dumps
     // after the stacks are destroyed). Owned storage is already safe.
@@ -218,22 +213,15 @@ Scope::Scope(Registry& registry, std::string prefix)
     : registry_(registry.enabled() ? &registry : nullptr),
       prefix_(std::move(prefix)) {}
 
-Scope::Scope(Scope&& other) noexcept
-    : registry_(other.registry_),
-      prefix_(std::move(other.prefix_)),
-      ids_(std::move(other.ids_)) {
-  other.registry_ = nullptr;
-  other.ids_.clear();
-}
+Scope::Scope(Scope&& other) noexcept { *this = std::move(other); }
 
 Scope& Scope::operator=(Scope&& other) noexcept {
   if (this != &other) {
     release();
-    registry_ = other.registry_;
+    registry_ = std::exchange(other.registry_, nullptr);
     prefix_ = std::move(other.prefix_);
-    ids_ = std::move(other.ids_);
-    other.registry_ = nullptr;
-    other.ids_.clear();
+    generation_ = other.generation_;
+    positions_ = std::exchange(other.positions_, {});
   }
   return *this;
 }
@@ -241,81 +229,53 @@ Scope& Scope::operator=(Scope&& other) noexcept {
 Scope::~Scope() { release(); }
 
 void Scope::release() {
-  if (registry_ != nullptr && !ids_.empty()) {
-    registry_->freeze_entries(ids_);
+  if (registry_ != nullptr && !positions_.empty()) {
+    registry_->freeze_entries(generation_, positions_);
   }
   registry_ = nullptr;
-  ids_.clear();
+  positions_.clear();
 }
 
-std::string Scope::full(const char* name) const {
-  std::string out = prefix_;
-  out += '.';
-  out += name;
-  return out;
+Registry::Entry& Scope::add(const char* name, MetricKind kind) {
+  // Positions from before a clear() name nothing of ours any more.
+  if (generation_ != registry_->generation_) {
+    generation_ = registry_->generation_;
+    positions_.clear();
+  }
+  positions_.push_back(registry_->entries_.size());
+  std::string full = prefix_;
+  full += '.';
+  full += name;
+  return registry_->add_entry(std::move(full), kind);
 }
 
 Counter Scope::counter(const char* name) {
   if (registry_ == nullptr) return Counter{};
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kCounter;
-  e.owned_counter = std::make_unique<std::uint64_t>(0);
-  e.counter = e.owned_counter.get();
-  std::uint64_t* slot = e.owned_counter.get();
-  ids_.push_back(registry_->add_entry(std::move(e)));
-  return Counter{slot};
+  return Registry::own_counter(add(name, MetricKind::kCounter));
 }
 
 Gauge Scope::gauge(const char* name) {
   if (registry_ == nullptr) return Gauge{};
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kGauge;
-  e.owned_gauge = std::make_unique<double>(0.0);
-  double* slot = e.owned_gauge.get();
-  ids_.push_back(registry_->add_entry(std::move(e)));
-  return Gauge{slot};
+  return Registry::own_gauge(add(name, MetricKind::kGauge));
 }
 
 HistogramHandle Scope::histogram(const char* name, double min_value,
                                  double max_value) {
   if (registry_ == nullptr) return HistogramHandle{};
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kHistogram;
-  e.owned_hist = std::make_unique<Histogram>(min_value, max_value);
-  e.hist = e.owned_hist.get();
-  Histogram* slot = e.owned_hist.get();
-  ids_.push_back(registry_->add_entry(std::move(e)));
-  return HistogramHandle{slot};
+  return Registry::own_histogram(add(name, MetricKind::kHistogram), min_value,
+                                 max_value);
 }
 
 void Scope::bind_counter(const char* name, const std::uint64_t* value) {
-  if (registry_ == nullptr) return;
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kCounter;
-  e.counter = value;
-  ids_.push_back(registry_->add_entry(std::move(e)));
+  if (registry_ != nullptr) add(name, MetricKind::kCounter).counter = value;
 }
 
 void Scope::bind_gauge(const char* name, std::function<double()> fn) {
-  if (registry_ == nullptr) return;
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kGauge;
-  e.gauge_fn = std::move(fn);
-  ids_.push_back(registry_->add_entry(std::move(e)));
+  if (registry_ != nullptr) add(name, MetricKind::kGauge).gauge_fn = std::move(fn);
 }
 
 void Scope::bind_histogram(const char* name, const Histogram* hist) {
-  if (registry_ == nullptr) return;
-  Registry::Entry e;
-  e.name = full(name);
-  e.kind = MetricKind::kHistogram;
-  e.hist = hist;
-  ids_.push_back(registry_->add_entry(std::move(e)));
+  if (registry_ != nullptr) add(name, MetricKind::kHistogram).hist = hist;
 }
 
 // ---------------------------------------------------------------------------

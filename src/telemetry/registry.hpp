@@ -157,7 +157,6 @@ class Registry {
   friend class Scope;
 
   struct Entry {
-    std::uint64_t id{0};
     std::string name;
     MetricKind kind{MetricKind::kCounter};
     // Exactly one of the following groups is populated.
@@ -170,12 +169,23 @@ class Registry {
   };
 
   double entry_value(const Entry& e) const;
-  std::uint64_t add_entry(Entry e);
-  void freeze_entries(const std::vector<std::uint64_t>& ids);
+  /// Appends an empty entry (valid until the next append).
+  Entry& add_entry(std::string name, MetricKind kind);
+  // Give `e` registry-owned storage and hand out its handle.
+  static Counter own_counter(Entry& e);
+  static Gauge own_gauge(Entry& e);
+  static HistogramHandle own_histogram(Entry& e, double min_value,
+                                       double max_value);
+  /// Freezes the entries at `positions`, if they belong to `generation`.
+  void freeze_entries(std::uint64_t generation,
+                      const std::vector<std::size_t>& positions);
   const Entry* find(const std::string& name) const;
 
   bool enabled_{false};
-  std::uint64_t next_id_{1};
+  /// Bumped by clear(): entries only ever append within one generation, so
+  /// a position plus its generation names one entry for good, and a Scope
+  /// that outlives a clear() can tell its positions now name others.
+  std::uint64_t generation_{0};
   std::vector<Entry> entries_;  // registration order (export determinism)
   std::unordered_map<std::string, std::size_t> by_name_;
   std::unordered_map<std::string, std::uint64_t> instance_counters_;
@@ -215,11 +225,14 @@ class Scope {
 
  private:
   void release();
-  std::string full(const char* name) const;
+  /// Appends "<prefix>.<name>" to the registry and remembers its position.
+  Registry::Entry& add(const char* name, MetricKind kind);
 
   Registry* registry_{nullptr};
   std::string prefix_;
-  std::vector<std::uint64_t> ids_;
+  // Positions of this scope's entries, all from registry generation_.
+  std::uint64_t generation_{0};
+  std::vector<std::size_t> positions_;
 };
 
 /// The calling thread's current registry: the instance installed with

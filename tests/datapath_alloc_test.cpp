@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "ec/reed_solomon.hpp"
 #include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
+#include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
 
@@ -441,6 +443,114 @@ TEST(AllocRegressionTest, ZeroAllocsPerMessageEcSteadyState) {
   EXPECT_EQ(steady_allocs, 0u)
       << steady_allocs << " allocations in the steady-state window ("
       << (kIterations - kWarmup) << " EC messages)";
+}
+
+// ---------------------------------------------------------------------------
+// The EC fallback path — FTO, EC NACK, Selective Repeat of the failed
+// submessage through the shared retransmitter, fallback ACKs — is held to
+// the same zero-allocation standard. At random 1e-3 loss a fallback is
+// rare (about 0.1 per bench_datapath run), so here every message is forced
+// into it: each one-submessage RS(4,2) message sends data 0-3 and parity
+// 4-5, then its fallback resends the four data chunks, ten forward packets
+// in all; dropping positions 0-2, 4 and 5 of every ten leaves one data
+// chunk and no parity, beyond what the code recovers.
+// ---------------------------------------------------------------------------
+class EveryMessageFallsBack final : public sim::DropModel {
+ public:
+  bool should_drop(Rng& /*rng*/, std::size_t /*bytes*/) override {
+    const std::uint64_t position = sent_++ % 10;
+    return position < 3 || position == 4 || position == 5;
+  }
+
+ private:
+  std::uint64_t sent_{0};
+};
+
+TEST(AllocRegressionTest, ZeroAllocsPerMessageEcFallbackSteadyState) {
+  constexpr int kIterations = 300;
+  constexpr int kWarmup = 100;
+  constexpr std::size_t kMsgBytes = 16 * KiB;  // one RS(4,2) submessage
+
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100 * Gbps;
+  cfg.distance_km = 100.0;
+  cfg.seed = 43;
+  verbs::Nic nic_a(sim, 1), nic_b(sim, 2);
+  sim::DuplexLink link(sim, cfg, std::make_unique<EveryMessageFallsBack>(),
+                       std::make_unique<sim::IidDrop>(0.0));
+  link.forward().set_receiver(
+      [&nic_b](sim::Packet&& p) { nic_b.deliver(std::move(p)); });
+  link.backward().set_receiver(
+      [&nic_a](sim::Packet&& p) { nic_a.deliver(std::move(p)); });
+  nic_a.add_route(2, &link.forward());
+  nic_b.add_route(1, &link.backward());
+
+  reliability::ReliableChannel::Options options;
+  options.kind = reliability::ReliableChannel::Kind::kEcMds;
+  options.ec.k = 4;
+  options.ec.m = 2;
+  options.profile.bandwidth_bps = cfg.bandwidth_bps;
+  options.profile.rtt_s = rtt_s(cfg.distance_km);
+  options.profile.mtu = 4096;
+  options.profile.chunk_bytes = 4 * KiB;
+  options.attr.mtu = 4096;
+  options.attr.chunk_size = 4 * KiB;
+  options.attr.max_msg_size = 16 * KiB;
+  options.attr.max_inflight = 64;
+  options.derive_timeouts();
+  reliability::ReliableChannel channel(sim, nic_a, nic_b, options);
+
+  std::vector<std::uint8_t> src(kMsgBytes);
+  for (std::size_t i = 0; i < kMsgBytes; ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 151 + (i >> 12));
+  }
+  std::vector<std::uint8_t> dst(kMsgBytes, 0);
+
+  struct Driver {
+    reliability::ReliableChannel& channel;
+    const std::vector<std::uint8_t>& src;
+    std::vector<std::uint8_t>& dst;
+    int posted{0};
+    int completed{0};
+    int corrupt{0};
+    std::uint64_t allocs_at_steady{0};
+    std::uint64_t fallbacks_at_steady{0};
+
+    void post_pair() {
+      if (posted >= kIterations) return;
+      ++posted;
+      std::memset(dst.data(), 0, dst.size());
+      channel.recv(dst.data(), kMsgBytes,
+                   [this](const Status&) { on_recv_done(); });
+      channel.send(src.data(), kMsgBytes, [](const Status&) {});
+    }
+    void on_recv_done() {
+      ++completed;
+      if (std::memcmp(dst.data(), src.data(), kMsgBytes) != 0) ++corrupt;
+      if (completed == kWarmup) {
+        allocs_at_steady = g_allocs.load();
+        fallbacks_at_steady = fallbacks();
+      }
+      post_pair();
+    }
+    std::uint64_t fallbacks() const {
+      return channel.ec_receiver()->stats().fallback_submessages;
+    }
+  } driver{channel, src, dst};
+
+  driver.post_pair();
+  sim.run();
+
+  ASSERT_EQ(driver.completed, kIterations);
+  EXPECT_EQ(driver.corrupt, 0);
+  const std::uint64_t steady_allocs = g_allocs.load() - driver.allocs_at_steady;
+  EXPECT_EQ(driver.fallbacks() - driver.fallbacks_at_steady,
+            static_cast<std::uint64_t>(kIterations - kWarmup))
+      << "every measured message must take the fallback path";
+  EXPECT_EQ(steady_allocs, 0u)
+      << steady_allocs << " allocations in the steady-state window ("
+      << (kIterations - kWarmup) << " EC fallback messages)";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "ec/reed_solomon.hpp"
@@ -11,6 +13,7 @@
 #include "reliability/ec_protocol.hpp"
 #include "reliability/reliable_channel.hpp"
 #include "sdr/sdr.hpp"
+#include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
 #include "verbs/nic.hpp"
 
@@ -328,6 +331,103 @@ TEST(EcChannelTest, ParityBuffersKeepOneRegistrationEach) {
   }
   EXPECT_EQ(nics.b->pd().mr_count(), mrs_after_10);
   EXPECT_GT(channel.ec_receiver()->stats().decoded_submessages, 0u);
+}
+
+/// Drops the forward packets whose send index is scripted, and records when
+/// each forward packet was sent.
+class TimedScriptedDrop final : public sim::DropModel {
+ public:
+  TimedScriptedDrop(const sim::Simulator& sim, std::set<std::uint64_t> drops)
+      : sim_(sim), drops_(std::move(drops)) {}
+  bool should_drop(Rng& /*rng*/, std::size_t /*bytes*/) override {
+    sent_at_s.push_back(sim_.now().seconds());
+    return drops_.count(sent_at_s.size() - 1) != 0;
+  }
+  std::vector<double> sent_at_s;
+
+ private:
+  const sim::Simulator& sim_;
+  std::set<std::uint64_t> drops_;
+};
+
+TEST(EcFallbackTest, RetransmissionsBackOffLikeSelectiveRepeat) {
+  // RS(4,2), one packet per chunk, one submessage. Forward send indices:
+  // data 0-3, parity 4-5; dropping 0-2 and both parity chunks is beyond
+  // the code, so the FTO fires and the submessage falls back, resending
+  // its chunks as 6-9. Chunk 0's fallback send (6) and its first two RTO
+  // retransmissions (10, 11) are dropped too (no parity can stand in for
+  // it); 12 delivers it. Each retry must double the
+  // chunk's timeout, within SR's 1.25x jitter — not re-arm a constant RTO.
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100e9;
+  cfg.distance_km = 100.0;
+  cfg.seed = 1;
+  auto drop = std::make_unique<TimedScriptedDrop>(
+      sim, std::set<std::uint64_t>{0, 1, 2, 4, 5, 6, 10, 11});
+  const TimedScriptedDrop& sent = *drop;
+  verbs::Nic nic_a(sim, 1), nic_b(sim, 2);
+  sim::DuplexLink link(sim, cfg, std::move(drop),
+                       std::make_unique<sim::IidDrop>(0.0));
+  link.forward().set_receiver(
+      [&nic_b](sim::Packet&& p) { nic_b.deliver(std::move(p)); });
+  link.backward().set_receiver(
+      [&nic_a](sim::Packet&& p) { nic_a.deliver(std::move(p)); });
+  nic_a.add_route(2, &link.forward());
+  nic_b.add_route(1, &link.backward());
+
+  core::Context ctx_a(nic_a, core::DevAttr{});
+  core::Context ctx_b(nic_b, core::DevAttr{});
+  core::Qp* qa = ctx_a.create_qp(proto_attr());
+  core::Qp* qb = ctx_b.create_qp(proto_attr());
+  qa->connect(qb->info());
+  qb->connect(qa->info());
+  ControlLink ca(nic_a), cb(nic_b);
+  ca.connect(2, cb.qp_number());
+  cb.connect(1, ca.qp_number());
+
+  LinkProfile profile;
+  profile.bandwidth_bps = cfg.bandwidth_bps;
+  profile.rtt_s = rtt_s(cfg.distance_km);
+  profile.mtu = proto_attr().mtu;
+  profile.chunk_bytes = proto_attr().chunk_size;
+  ec::ReedSolomon codec(4, 2);
+  EcProtoConfig config;
+  config.k = 4;
+  config.m = 2;
+  config.fallback_rto_s = 3.0 * profile.rtt_s;
+  config.fallback_ack_interval_s = profile.rtt_s / 4.0;
+  EcSender sender(sim, *qa, ca, profile, codec, config);
+  EcReceiver receiver(sim, *qb, cb, profile, codec, config);
+
+  const std::size_t len = 4 * proto_attr().chunk_size;
+  const auto src = pattern(len, 5);
+  std::vector<std::uint8_t> dst(len, 0);
+  const auto* mr = ctx_b.mr_reg(dst.data(), dst.size());
+  bool ok = false;
+  ASSERT_TRUE(receiver
+                  .expect(dst.data(), len, mr,
+                          [&](const Status& s) { ok = s.is_ok(); })
+                  .is_ok());
+  ASSERT_TRUE(sender.write(src.data(), len, [](const Status&) {}).is_ok());
+  sim.run();
+
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), len), 0);
+  EXPECT_EQ(receiver.stats().fallback_submessages, 1u);
+  EXPECT_EQ(sender.stats().fallback_retransmissions, 4u + 3u);
+  ASSERT_GE(sent.sent_at_s.size(), 13u);
+  const std::vector<double>& t = sent.sent_at_s;
+  const double rto = config.fallback_rto_s;
+  const double gaps[] = {t[10] - t[6], t[11] - t[10], t[12] - t[11]};
+  // First timeout: the base RTO, jittered by up to 25%.
+  EXPECT_GE(gaps[0], rto * 0.99);
+  EXPECT_LE(gaps[0], rto * 1.25 * 1.01);
+  for (int i = 1; i < 3; ++i) {
+    const double ratio = gaps[i] / gaps[i - 1];
+    EXPECT_GE(ratio, 2.0 / 1.25 * 0.99) << "retry " << i;
+    EXPECT_LE(ratio, 2.0 * 1.25 * 1.01) << "retry " << i;
+  }
 }
 
 }  // namespace

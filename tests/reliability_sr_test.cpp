@@ -170,6 +170,16 @@ TEST_F(SrProtoFixture, EmptyWriteRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(SrProtoFixture, OversizeWriteRejectedAndLaterMessagesDeliver) {
+  // Retransmission state is sized for max_msg_size: a longer write is
+  // refused before anything is posted, and the connection stays usable.
+  wire(0.0, 0.0);
+  const auto big = pattern(proto_attr().max_msg_size + 1);
+  EXPECT_EQ(sender_->write(big.data(), big.size(), nullptr).code(),
+            StatusCode::kOutOfRange);
+  transfer(64 * 1024, 9);
+}
+
 // ---------------------------------------------------------------------------
 // ACK wire codec
 // ---------------------------------------------------------------------------

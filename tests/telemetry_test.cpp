@@ -354,6 +354,24 @@ TEST_F(TelemetryStackTest, ScopeFreezesFinalValuesOnDestruction) {
   EXPECT_EQ(registry().size(), 0u);
 }
 
+TEST_F(TelemetryStackTest, ScopeOutlivingClearFreezesNothingNewer) {
+  // A Scope that dies after clear() must not freeze the entries other
+  // components bound since: its old positions now name theirs.
+  Registry reg;
+  reg.enable();
+  double a_state = 1.0;
+  double b_state = 2.0;
+  auto a = std::make_unique<Scope>(reg, "a");
+  a->bind_gauge("g", [&a_state] { return a_state; });
+  reg.clear();
+  Scope b(reg, "b");
+  b.bind_gauge("g", [&b_state] { return b_state; });
+  a.reset();
+  b_state = 3.0;
+  EXPECT_DOUBLE_EQ(reg.gauge_value("b.g"), 3.0) << "b.g was frozen by a";
+  EXPECT_FALSE(reg.has("a.g"));
+}
+
 TEST_F(TelemetryStackTest, InstanceNamesCountPerBase) {
   registry().enable();
   EXPECT_EQ(registry().instance_name("x.y"), "x.y0");
