@@ -1,8 +1,12 @@
 #include "ec/gf256_kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "ec/gf256.hpp"
@@ -20,10 +24,6 @@
 namespace sdr::ec {
 
 namespace {
-
-/// Rows fused per register group in mul_acc_multi: 4 rows keep 8 table
-/// vectors + source + mask comfortably inside 16 architectural registers.
-constexpr std::size_t kFuseGroup = 4;
 
 // ---------------------------------------------------------------------------
 // Per-constant split tables: lo[c][j] = c*j, hi[c][j] = c*(j<<4). Derived
@@ -79,15 +79,64 @@ void scalar_mul_set(std::uint8_t* dst, const std::uint8_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
 }
 
-void scalar_mul_acc_multi(std::uint8_t* const* dst,
-                          const std::uint8_t* coeffs, std::size_t rows,
-                          const std::uint8_t* src, std::size_t n) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    scalar_mul_acc(dst[r], src, coeffs[r], n);
+/// Row-at-a-time dot product over bytes [begin, end): the scalar tier, and
+/// the sub-vector tail of every vector tier.
+void scalar_dot_range(const GfDotTables& t, const std::uint8_t* const* src,
+                      std::uint8_t* const* dst, std::size_t begin,
+                      std::size_t end) {
+  const std::size_t n = end - begin;
+  for (std::size_t r = 0; r < t.rows(); ++r) {
+    std::uint8_t* out = dst[r] + begin;
+    scalar_mul_set(out, src[0] + begin, t.coeff(r, 0), n);
+    for (std::size_t s = 1; s < t.sources(); ++s) {
+      scalar_mul_acc(out, src[s] + begin, t.coeff(r, s), n);
+    }
   }
 }
 
+void scalar_dot_prod(const GfDotTables& t, const std::uint8_t* const* src,
+                     std::uint8_t* const* dst, std::size_t n) {
+  scalar_dot_range(t, src, dst, 0, n);
+}
+
 #if defined(SDR_GF_X86_KERNELS)
+
+/// One register group of a vector tier: output rows [row0, row0 + G) of
+/// bytes [0, vec_n), vec_n a whole number of vectors. dst is already
+/// offset to row0.
+using DotGroupFn = void (*)(const GfDotTables& t, std::size_t row0,
+                            const std::uint8_t* const* src,
+                            std::uint8_t* const* dst, std::size_t vec_n);
+
+/// Output rows per register group in every vector tier. Eight rows cover
+/// RS(32,8)'s parity in one group and fit each tier's register file with
+/// the source, mask and table operands; on a GFNI host 8 measured faster
+/// than 4 or 6 on the AVX2 and SSSE3 tiers too.
+constexpr std::size_t kDotGroup = 8;
+
+template <typename Tier, std::size_t... G>
+constexpr std::array<DotGroupFn, sizeof...(G)> group_kernels(
+    std::index_sequence<G...>) {
+  return {&Tier::template group<G + 1>...};
+}
+
+/// A vector tier's dot product: the rows in register groups of up to
+/// kDotGroup (the last group takes the remainder), each walking every whole
+/// vector column, then the scalar tail.
+template <typename Tier>
+void dot_prod_in_groups(const GfDotTables& t, const std::uint8_t* const* src,
+                        std::uint8_t* const* dst, std::size_t n) {
+  static constexpr auto kGroups =
+      group_kernels<Tier>(std::make_index_sequence<kDotGroup>{});
+  const std::size_t vec_n = n - n % Tier::kLanes;
+  if (vec_n > 0) {
+    for (std::size_t r = 0; r < t.rows(); r += kDotGroup) {
+      kGroups[std::min(kDotGroup, t.rows() - r) - 1](t, r, src, dst + r,
+                                                      vec_n);
+    }
+  }
+  scalar_dot_range(t, src, dst, vec_n, n);
+}
 
 // ---------------------------------------------------------------------------
 // SSSE3 tier: 16 lanes per pshufb pair.
@@ -132,49 +181,43 @@ __attribute__((target("ssse3"))) void ssse3_mul(std::uint8_t* dst,
   }
 }
 
-__attribute__((target("ssse3"))) void ssse3_mul_acc_multi(
-    std::uint8_t* const* dst, const std::uint8_t* coeffs, std::size_t rows,
-    const std::uint8_t* src, std::size_t n) {
-  const SplitTables& t = split_tables();
-  const Gf256& gf = Gf256::instance();
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t r = 0;
-  while (r < rows) {
-    // Gather the next register group of up to kFuseGroup nonzero rows.
-    std::uint8_t* d[kFuseGroup];
-    const std::uint8_t* tail_row[kFuseGroup];
-    __m128i vlo[kFuseGroup], vhi[kFuseGroup];
-    std::size_t g = 0;
-    for (; r < rows && g < kFuseGroup; ++r) {
-      const std::uint8_t c = coeffs[r];
-      if (c == 0) continue;
-      d[g] = dst[r];
-      tail_row[g] = gf.mul_row(c);
-      vlo[g] = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
-      vhi[g] = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
-      ++g;
-    }
-    if (g == 0) break;
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i xlo = _mm_and_si128(x, mask);
-      const __m128i xhi = _mm_and_si128(_mm_srli_epi16(x, 4), mask);
-      for (std::size_t j = 0; j < g; ++j) {
-        const __m128i prod = _mm_xor_si128(_mm_shuffle_epi8(vlo[j], xlo),
-                                           _mm_shuffle_epi8(vhi[j], xhi));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i*>(d[j] + i),
-            _mm_xor_si128(prod, _mm_loadu_si128(
-                                    reinterpret_cast<const __m128i*>(d[j] + i))));
+/// Eight accumulators, the nibble mask, both index vectors and the two
+/// table loads fit the 16 xmm registers.
+struct Ssse3Dot {
+  static constexpr std::size_t kLanes = 16;
+
+  template <std::size_t G>
+  __attribute__((target("ssse3"))) static void group(
+      const GfDotTables& t, std::size_t row0, const std::uint8_t* const* src,
+      std::uint8_t* const* dst, std::size_t vec_n) {
+    const std::size_t stride = t.rows() * 32;
+    const std::uint8_t* tables = t.split() + row0 * 32;
+    const __m128i mask = _mm_set1_epi8(0x0F);
+    for (std::size_t i = 0; i < vec_n; i += kLanes) {
+      __m128i acc[G];
+      for (std::size_t j = 0; j < G; ++j) acc[j] = _mm_setzero_si128();
+      for (std::size_t s = 0; s < t.sources(); ++s) {
+        const __m128i x =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[s] + i));
+        const __m128i xlo = _mm_and_si128(x, mask);
+        const __m128i xhi = _mm_and_si128(_mm_srli_epi16(x, 4), mask);
+        const std::uint8_t* tab = tables + s * stride;
+        for (std::size_t j = 0; j < G; ++j) {
+          const __m128i lo =
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab + j * 32));
+          const __m128i hi = _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(tab + j * 32 + 16));
+          acc[j] = _mm_xor_si128(
+              acc[j], _mm_xor_si128(_mm_shuffle_epi8(lo, xlo),
+                                    _mm_shuffle_epi8(hi, xhi)));
+        }
+      }
+      for (std::size_t j = 0; j < G; ++j) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst[j] + i), acc[j]);
       }
     }
-    for (; i < n; ++i) {
-      for (std::size_t j = 0; j < g; ++j) d[j][i] ^= tail_row[j][src[i]];
-    }
   }
-}
+};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier: 32 lanes per vpshufb pair (the 16-byte tables are broadcast to
@@ -220,52 +263,43 @@ __attribute__((target("avx2"))) void avx2_mul(std::uint8_t* dst,
   }
 }
 
-__attribute__((target("avx2"))) void avx2_mul_acc_multi(
-    std::uint8_t* const* dst, const std::uint8_t* coeffs, std::size_t rows,
-    const std::uint8_t* src, std::size_t n) {
-  const SplitTables& t = split_tables();
-  const Gf256& gf = Gf256::instance();
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t r = 0;
-  while (r < rows) {
-    std::uint8_t* d[kFuseGroup];
-    const std::uint8_t* tail_row[kFuseGroup];
-    __m256i vlo[kFuseGroup], vhi[kFuseGroup];
-    std::size_t g = 0;
-    for (; r < rows && g < kFuseGroup; ++r) {
-      const std::uint8_t c = coeffs[r];
-      if (c == 0) continue;
-      d[g] = dst[r];
-      tail_row[g] = gf.mul_row(c);
-      vlo[g] = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-      vhi[g] = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-      ++g;
-    }
-    if (g == 0) break;
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      const __m256i xlo = _mm256_and_si256(x, mask);
-      const __m256i xhi = _mm256_and_si256(_mm256_srli_epi16(x, 4), mask);
-      for (std::size_t j = 0; j < g; ++j) {
-        const __m256i prod =
-            _mm256_xor_si256(_mm256_shuffle_epi8(vlo[j], xlo),
-                             _mm256_shuffle_epi8(vhi[j], xhi));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(d[j] + i),
-            _mm256_xor_si256(
-                prod, _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(d[j] + i))));
+/// The SSSE3 group shape at 32 lanes: each 16-byte table is broadcast to
+/// both halves straight from memory (vpshufb shuffles within each half).
+struct Avx2Dot {
+  static constexpr std::size_t kLanes = 32;
+
+  template <std::size_t G>
+  __attribute__((target("avx2"))) static void group(
+      const GfDotTables& t, std::size_t row0, const std::uint8_t* const* src,
+      std::uint8_t* const* dst, std::size_t vec_n) {
+    const std::size_t stride = t.rows() * 32;
+    const std::uint8_t* tables = t.split() + row0 * 32;
+    const __m256i mask = _mm256_set1_epi8(0x0F);
+    for (std::size_t i = 0; i < vec_n; i += kLanes) {
+      __m256i acc[G];
+      for (std::size_t j = 0; j < G; ++j) acc[j] = _mm256_setzero_si256();
+      for (std::size_t s = 0; s < t.sources(); ++s) {
+        const __m256i x =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src[s] + i));
+        const __m256i xlo = _mm256_and_si256(x, mask);
+        const __m256i xhi = _mm256_and_si256(_mm256_srli_epi16(x, 4), mask);
+        const std::uint8_t* tab = tables + s * stride;
+        for (std::size_t j = 0; j < G; ++j) {
+          const __m256i lo = _mm256_broadcastsi128_si256(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab + j * 32)));
+          const __m256i hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(tab + j * 32 + 16)));
+          acc[j] = _mm256_xor_si256(
+              acc[j], _mm256_xor_si256(_mm256_shuffle_epi8(lo, xlo),
+                                       _mm256_shuffle_epi8(hi, xhi)));
+        }
+      }
+      for (std::size_t j = 0; j < G; ++j) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst[j] + i), acc[j]);
       }
     }
-    for (; i < n; ++i) {
-      for (std::size_t j = 0; j < g; ++j) d[j][i] ^= tail_row[j][src[i]];
-    }
   }
-}
+};
 
 // ---------------------------------------------------------------------------
 // GFNI tier: GF2P8AFFINEQB applies the multiply-by-c bit matrix (precomputed
@@ -303,41 +337,36 @@ __attribute__((target("gfni,avx512f,avx512bw"))) void gfni_mul(
   }
 }
 
-__attribute__((target("gfni,avx512f,avx512bw"))) void gfni_mul_acc_multi(
-    std::uint8_t* const* dst, const std::uint8_t* coeffs, std::size_t rows,
-    const std::uint8_t* src, std::size_t n) {
-  const Gf256& gf = Gf256::instance();
-  std::size_t r = 0;
-  while (r < rows) {
-    std::uint8_t* d[kFuseGroup];
-    const std::uint8_t* tail_row[kFuseGroup];
-    __m512i a[kFuseGroup];
-    std::size_t g = 0;
-    for (; r < rows && g < kFuseGroup; ++r) {
-      const std::uint8_t c = coeffs[r];
-      if (c == 0) continue;
-      d[g] = dst[r];
-      tail_row[g] = gf.mul_row(c);
-      a[g] = _mm512_set1_epi64(static_cast<long long>(gf.affine_matrix(c)));
-      ++g;
-    }
-    if (g == 0) break;
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64) {
-      const __m512i x =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(src + i));
-      for (std::size_t j = 0; j < g; ++j) {
-        const __m512i prod = _mm512_xor_si512(
-            _mm512_gf2p8affine_epi64_epi8(x, a[j], 0),
-            _mm512_loadu_si512(reinterpret_cast<const void*>(d[j] + i)));
-        _mm512_storeu_si512(reinterpret_cast<void*>(d[j] + i), prod);
+/// Each bit matrix is broadcast from memory; the accumulators take 8 of
+/// the 32 zmm registers.
+struct GfniDot {
+  static constexpr std::size_t kLanes = 64;
+
+  template <std::size_t G>
+  __attribute__((target("gfni,avx512f,avx512bw"))) static void group(
+      const GfDotTables& t, std::size_t row0, const std::uint8_t* const* src,
+      std::uint8_t* const* dst, std::size_t vec_n) {
+    const std::uint64_t* matrices = t.affine() + row0;
+    for (std::size_t i = 0; i < vec_n; i += kLanes) {
+      __m512i acc[G];
+      for (std::size_t j = 0; j < G; ++j) acc[j] = _mm512_setzero_si512();
+      for (std::size_t s = 0; s < t.sources(); ++s) {
+        const __m512i x =
+            _mm512_loadu_si512(reinterpret_cast<const void*>(src[s] + i));
+        const std::uint64_t* a = matrices + s * t.rows();
+        for (std::size_t j = 0; j < G; ++j) {
+          acc[j] = _mm512_xor_si512(
+              acc[j], _mm512_gf2p8affine_epi64_epi8(
+                          x, _mm512_set1_epi64(static_cast<long long>(a[j])),
+                          0));
+        }
+      }
+      for (std::size_t j = 0; j < G; ++j) {
+        _mm512_storeu_si512(reinterpret_cast<void*>(dst[j] + i), acc[j]);
       }
     }
-    for (; i < n; ++i) {
-      for (std::size_t j = 0; j < g; ++j) d[j][i] ^= tail_row[j][src[i]];
-    }
   }
-}
+};
 
 #endif  // SDR_GF_X86_KERNELS
 
@@ -346,14 +375,15 @@ __attribute__((target("gfni,avx512f,avx512bw"))) void gfni_mul_acc_multi(
 // ---------------------------------------------------------------------------
 
 constexpr GfKernels kScalarTable{GfIsa::kScalar, &scalar_mul_acc,
-                                 &scalar_mul_set, &scalar_mul_acc_multi};
+                                 &scalar_mul_set, &scalar_dot_prod};
 #if defined(SDR_GF_X86_KERNELS)
 constexpr GfKernels kSsse3Table{GfIsa::kSsse3, &ssse3_mul<true>,
-                                &ssse3_mul<false>, &ssse3_mul_acc_multi};
+                                &ssse3_mul<false>,
+                                &dot_prod_in_groups<Ssse3Dot>};
 constexpr GfKernels kAvx2Table{GfIsa::kAvx2, &avx2_mul<true>,
-                               &avx2_mul<false>, &avx2_mul_acc_multi};
+                               &avx2_mul<false>, &dot_prod_in_groups<Avx2Dot>};
 constexpr GfKernels kGfniTable{GfIsa::kGfni, &gfni_mul<true>,
-                               &gfni_mul<false>, &gfni_mul_acc_multi};
+                               &gfni_mul<false>, &dot_prod_in_groups<GfniDot>};
 #endif
 
 bool isa_compiled(GfIsa isa) {
@@ -404,6 +434,30 @@ std::atomic<const GfKernels*>& active_slot() {
 }
 
 }  // namespace
+
+void GfDotTables::reset(std::size_t rows, std::size_t sources) {
+  assert(sources >= 1);
+  rows_ = rows;
+  sources_ = sources;
+  coeff_.resize(rows * sources);
+  affine_.resize(rows * sources);
+  split_.resize(rows * sources * 32);
+}
+
+void GfDotTables::reserve(std::size_t rows, std::size_t sources) {
+  coeff_.reserve(rows * sources);
+  affine_.reserve(rows * sources);
+  split_.reserve(rows * sources * 32);
+}
+
+void GfDotTables::set(std::size_t r, std::size_t s, std::uint8_t c) {
+  assert(r < rows_ && s < sources_);
+  const std::size_t e = s * rows_ + r;
+  coeff_[e] = c;
+  affine_[e] = Gf256::instance().affine_matrix(c);
+  std::memcpy(&split_[e * 32], split_tables().lo[c], 16);
+  std::memcpy(&split_[e * 32 + 16], split_tables().hi[c], 16);
+}
 
 const char* isa_name(GfIsa isa) {
   switch (isa) {

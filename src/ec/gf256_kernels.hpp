@@ -1,16 +1,21 @@
 // Vectorized GF(256) constant-multiply kernels with runtime ISA dispatch.
 //
-// The erasure-code hot loop is dst[i] (^)= c * src[i]. The scalar form is a
-// dependent table load per byte; the vector form is the classic ISA-L
+// The erasure-code hot loop is a dot product over GF(256):
+//
+//   out[r][i] = XOR_s c[r][s] * src[s][i]
+//
+// The scalar form is a dependent table load per byte; the vector forms
+// multiply 16/32/64 lanes at once. SSSE3/AVX2 use the classic ISA-L
 // split-table technique: write x = hi·16 + lo, then
 //
 //   c * x = Tlo_c[lo] ^ Thi_c[hi]
 //
 // where Tlo_c / Thi_c are 16-entry tables (c*0..c*15 and c*0x00,c*0x10,...,
-// c*0xF0), applied to 16/32/64 lanes at once by PSHUFB / VPSHUFB /
-// GF2P8AFFINEQB. The per-constant 2x16-byte tables are derived once from
-// the exp/log tables at startup (8 KiB total — resident in L1 while
-// encoding).
+// c*0xF0) applied by PSHUFB / VPSHUFB. GFNI applies the multiply-by-c
+// 8x8 bit matrix with GF2P8AFFINEQB. The dot-product kernels keep one
+// register group of output rows as accumulators while they walk every
+// source for one vector column, so each source vector is loaded once per
+// group and each output vector is stored once (ISA-L's gf_Nvect_dot_prod).
 //
 // Dispatch: one CPUID-based resolution at first use picks the best ISA the
 // host supports (gfni > avx2 > ssse3 > scalar); the SDR_EC_ISA environment
@@ -23,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/cpu.hpp"
 
@@ -35,9 +41,42 @@ enum class GfIsa : std::uint8_t {
   kGfni = 3,    // 64-lane gf2p8affineqb (needs avx512bw too)
 };
 
-/// A resolved kernel set. All three entry points require dst and src to be
-/// non-overlapping; any alignment and any length are fine (vector kernels
-/// handle the unaligned head/tail with scalar code).
+/// A coefficient matrix c[r][s] (rows x sources) expanded into the form
+/// every kernel tier consumes: the raw byte (scalar tier and vector tails),
+/// the 2x16-byte split tables (ssse3/avx2) and the GF2P8AFFINEQB bit matrix
+/// (gfni). Entries are stored source-major so a kernel reads one register
+/// group's constants for a source contiguously. Build it once per matrix:
+/// a codec at construction, a decode per erasure pattern. Storage is
+/// reused, so a reset() within the reserved size allocates nothing.
+class GfDotTables {
+ public:
+  /// Reshape to rows x sources (sources >= 1). Entries must then be set().
+  void reset(std::size_t rows, std::size_t sources);
+  /// Make room for rows * sources entries without reshaping.
+  void reserve(std::size_t rows, std::size_t sources);
+  void set(std::size_t r, std::size_t s, std::uint8_t c);
+
+  std::size_t rows() const { return rows_; }
+  std::size_t sources() const { return sources_; }
+  std::uint8_t coeff(std::size_t r, std::size_t s) const {
+    return coeff_[s * rows_ + r];
+  }
+  /// The bit matrix of coeff(r, s) at [s * rows() + r].
+  const std::uint64_t* affine() const { return affine_.data(); }
+  /// Low then high nibble table of coeff(r, s) at [(s * rows() + r) * 32].
+  const std::uint8_t* split() const { return split_.data(); }
+
+ private:
+  std::size_t rows_{0};
+  std::size_t sources_{0};
+  std::vector<std::uint8_t> coeff_;
+  std::vector<std::uint64_t> affine_;
+  std::vector<std::uint8_t> split_;
+};
+
+/// A resolved kernel set. All entry points require outputs that do not
+/// overlap their inputs; any alignment and any length are fine (vector
+/// kernels finish the sub-vector tail with scalar code).
 struct GfKernels {
   GfIsa isa{GfIsa::kScalar};
 
@@ -47,14 +86,12 @@ struct GfKernels {
   /// dst[i] = c * src[i].
   void (*mul_set)(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
                   std::size_t n);
-  /// Fused multi-row accumulate: dst[r][i] ^= coeffs[r] * src[i] for every
-  /// r < rows. One pass over src feeds all rows (the source block is loaded
-  /// once per register group instead of once per parity row) — the shape
-  /// ReedSolomon::encode and the decode solve feed cache-blocked runs
-  /// through. Rows with coefficient 0 are skipped.
-  void (*mul_acc_multi)(std::uint8_t* const* dst, const std::uint8_t* coeffs,
-                        std::size_t rows, const std::uint8_t* src,
-                        std::size_t n);
+  /// Dot product: dst[r][i] = XOR_s t.coeff(r, s) * src[s][i] for every
+  /// r < t.rows(), s < t.sources(), i < n. Output rows are only written,
+  /// never read — ReedSolomon::encode and the decode solve are each one
+  /// call.
+  void (*dot_prod)(const GfDotTables& t, const std::uint8_t* const* src,
+                   std::uint8_t* const* dst, std::size_t n);
 };
 
 const char* isa_name(GfIsa isa);

@@ -1,34 +1,25 @@
 #include "ec/reed_solomon.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
-#include "ec/gf256_kernels.hpp"
-
-#ifdef SDR_HAVE_OPENMP
-#include <omp.h>
-#endif
+#include "ec/byte_ranges.hpp"
 
 namespace sdr::ec {
 
 namespace {
-/// Block-len threshold above which encode parallelizes across byte ranges.
-constexpr std::size_t kParallelThreshold = 256 * 1024;
-/// Sub-range the fused pass works through: the data slice plus the active
-/// parity rows stay cache-resident while every coefficient is applied.
-constexpr std::size_t kCacheBlock = 4096;
 /// k + m <= 256, so fixed stack arrays cover every legal geometry.
 constexpr std::size_t kMaxBlocks = 256;
 
-/// Decode matrices, per thread: codecs are shared across sweep threads, so
-/// the workspace cannot live in the codec. It grows to the largest k the
-/// thread has decoded, after which a decode allocates nothing.
+/// Decode matrices and kernel constants, per thread: codecs are shared
+/// across sweep threads, so the workspace cannot live in the codec. It
+/// grows to the largest k the thread has decoded, after which a decode
+/// allocates nothing.
 struct DecodeScratch {
   GfMatrix selection;
   GfMatrix work;
   GfMatrix inverse;
-  std::vector<std::uint8_t> coeff_by_source;
+  GfDotTables tables;
 };
 thread_local DecodeScratch t_decode;
 }  // namespace
@@ -42,10 +33,10 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t m) : k_(k), m_(m) {
   // integer terms they are distinct values < 256, and XOR of distinct
   // values is nonzero.
   parity_rows_ = GfMatrix::cauchy(m, k, static_cast<std::uint8_t>(k), 0);
-  parity_by_data_.resize(k_ * m_);
-  for (std::size_t d = 0; d < k_; ++d) {
-    for (std::size_t p = 0; p < m_; ++p) {
-      parity_by_data_[d * m_ + p] = parity_rows_.at(p, d);
+  encode_tables_.reset(m, k);
+  for (std::size_t p = 0; p < m; ++p) {
+    for (std::size_t d = 0; d < k; ++d) {
+      encode_tables_.set(p, d, parity_rows_.at(p, d));
     }
   }
 }
@@ -66,42 +57,13 @@ void ReedSolomon::encode_with(const GfKernels& kernels,
                               std::size_t block_len) const {
   assert(data.size() == k_ && parity.size() == m_);
 
-  // Fused cache-blocked pass: within each 4 KiB sub-range, initialize all m
-  // parity rows from data[0], then stream every further data block exactly
-  // once through the multi-row kernel, which loads each source vector once
-  // per register group while accumulating into the (cache-resident) parity
-  // rows. XOR accumulation is order-independent, so the output is
-  // byte-identical to the row-at-a-time formulation under any kernel.
-  auto encode_range = [&](std::size_t begin, std::size_t end) {
+  for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
+    const std::uint8_t* src[kMaxBlocks];
     std::uint8_t* dst[kMaxBlocks];
-    for (std::size_t blk = begin; blk < end; blk += kCacheBlock) {
-      const std::size_t n = std::min(kCacheBlock, end - blk);
-      for (std::size_t p = 0; p < m_; ++p) {
-        dst[p] = parity[p] + blk;
-        kernels.mul_set(dst[p], data[0] + blk, parity_by_data_[p], n);
-      }
-      for (std::size_t d = 1; d < k_; ++d) {
-        kernels.mul_acc_multi(dst, parity_by_data_.data() + d * m_, m_,
-                              data[d] + blk, n);
-      }
-    }
-  };
-
-#ifdef SDR_HAVE_OPENMP
-  if (block_len >= kParallelThreshold) {
-    const int threads = omp_get_max_threads();
-    const std::size_t chunk = (block_len + threads - 1) / threads;
-#pragma omp parallel for schedule(static)
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-      if (begin < block_len) {
-        encode_range(begin, std::min(block_len, begin + chunk));
-      }
-    }
-    return;
-  }
-#endif
-  encode_range(0, block_len);
+    for (std::size_t d = 0; d < k_; ++d) src[d] = data[d] + begin;
+    for (std::size_t p = 0; p < m_; ++p) dst[p] = parity[p] + begin;
+    kernels.dot_prod(encode_tables_, src, dst, end - begin);
+  });
 }
 
 bool ReedSolomon::can_recover(const PresenceMap& present) const {
@@ -159,33 +121,25 @@ bool ReedSolomon::decode_with(const GfKernels& kernels,
     return false;  // cannot happen for Cauchy
   }
 
-  // Reconstruct every missing data block in one fused cache-blocked solve:
+  // Reconstruct every missing data block in one dot product:
   //   data[d] = sum_r inverse[d][r] * blocks[chosen[r]]
-  // Source-major, like encode: each chosen block is streamed once per
-  // sub-range while accumulating into all missing rows. A zero coefficient
-  // in mul_set zero-fills and the multi kernel skips zero rows, so the
-  // result matches the old skip-zeroes formulation byte for byte.
-  std::vector<std::uint8_t>& coeff_by_source = scratch.coeff_by_source;
-  coeff_by_source.reserve(k_ * m_);  // miss <= m: one growth per k
-  coeff_by_source.resize(k_ * miss);
-  for (std::size_t r = 0; r < k_; ++r) {
-    for (std::size_t j = 0; j < miss; ++j) {
-      coeff_by_source[r * miss + j] = inverse.at(missing_data[j], r);
+  GfDotTables& tables = scratch.tables;
+  tables.reserve(m_, k_);  // miss <= m: one growth per k
+  tables.reset(miss, k_);
+  for (std::size_t j = 0; j < miss; ++j) {
+    for (std::size_t r = 0; r < k_; ++r) {
+      tables.set(j, r, inverse.at(missing_data[j], r));
     }
   }
-
-  std::uint8_t* out[kMaxBlocks];
-  for (std::size_t blk = 0; blk < block_len; blk += kCacheBlock) {
-    const std::size_t n = std::min(kCacheBlock, block_len - blk);
+  for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
+    const std::uint8_t* src[kMaxBlocks];
+    std::uint8_t* dst[kMaxBlocks];
+    for (std::size_t r = 0; r < k_; ++r) src[r] = blocks[chosen[r]] + begin;
     for (std::size_t j = 0; j < miss; ++j) {
-      out[j] = blocks[missing_data[j]] + blk;
-      kernels.mul_set(out[j], blocks[chosen[0]] + blk, coeff_by_source[j], n);
+      dst[j] = blocks[missing_data[j]] + begin;
     }
-    for (std::size_t r = 1; r < k_; ++r) {
-      kernels.mul_acc_multi(out, coeff_by_source.data() + r * miss, miss,
-                            blocks[chosen[r]] + blk, n);
-    }
-  }
+    kernels.dot_prod(tables, src, dst, end - begin);
+  });
   return true;
 }
 

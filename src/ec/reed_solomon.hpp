@@ -6,15 +6,11 @@
 // This mirrors the role Intel ISA-L plays in the paper's Fig 11.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "ec/codec.hpp"
+#include "ec/gf256_kernels.hpp"
 #include "ec/matrix.hpp"
 
 namespace sdr::ec {
-
-struct GfKernels;
 
 class ReedSolomon final : public ErasureCodec {
  public:
@@ -38,12 +34,11 @@ class ReedSolomon final : public ErasureCodec {
   /// encode()/decode() with an explicit kernel set instead of the
   /// process-wide dispatched one — the differential oracle and the per-ISA
   /// bench lanes run the same pass under forced kernels and compare bytes.
-  /// The fused cache-blocked pass reads each source block once per 4 KiB
-  /// range while accumulating into all m parity rows (encode) or all
-  /// missing data rows (decode), so the kernel always sees long contiguous
-  /// runs. Encode never allocates; decode keeps its matrices in a
-  /// per-thread workspace, so it stops allocating once the calling thread
-  /// has decoded at this k.
+  /// Each is one GfKernels::dot_prod call per byte range: all m parity rows
+  /// (encode) or all missing data rows (decode) accumulate in registers
+  /// while the kernel reads every source once. Encode never allocates;
+  /// decode keeps its matrices and constants in a per-thread workspace, so
+  /// it stops allocating once the calling thread has decoded at this k.
   void encode_with(const GfKernels& kernels,
                    std::span<const std::uint8_t* const> data,
                    std::span<std::uint8_t* const> parity,
@@ -60,10 +55,7 @@ class ReedSolomon final : public ErasureCodec {
   std::size_t k_;
   std::size_t m_;
   GfMatrix parity_rows_;  // m x k
-  // Transposed coefficients, [d * m + p] = parity_rows_(p, d): the fused
-  // encode pass hands the kernel one contiguous coefficient column per
-  // data block.
-  std::vector<std::uint8_t> parity_by_data_;
+  GfDotTables encode_tables_;  // parity_rows_, expanded for the kernels
 };
 
 }  // namespace sdr::ec

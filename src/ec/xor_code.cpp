@@ -4,11 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "ec/byte_ranges.hpp"
 #include "ec/gf256.hpp"
-
-#ifdef SDR_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace sdr::ec {
 
@@ -27,28 +24,16 @@ void XorCode::encode(std::span<const std::uint8_t* const> data,
                      std::size_t block_len) const {
   assert(data.size() == k_ && parity.size() == m_);
 
-  auto encode_parity = [&](std::size_t p) {
-    std::uint8_t* out = parity[p];
-    bool first = true;
-    for (std::size_t j = p; j < k_; j += m_) {
-      if (first) {
-        std::memcpy(out, data[j], block_len);
-        first = false;
-      } else {
-        Gf256::xor_acc(out, data[j], block_len);
+  for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
+    const std::size_t n = end - begin;
+    for (std::size_t p = 0; p < m_; ++p) {
+      std::uint8_t* out = parity[p] + begin;
+      std::memcpy(out, data[p] + begin, n);  // k >= m: every group has one
+      for (std::size_t j = p + m_; j < k_; j += m_) {
+        Gf256::xor_acc(out, data[j] + begin, n);
       }
     }
-    if (first) std::memset(out, 0, block_len);
-  };
-
-#ifdef SDR_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-  for (long long p = 0; p < static_cast<long long>(m_); ++p) {
-    encode_parity(static_cast<std::size_t>(p));
-  }
-#else
-  for (std::size_t p = 0; p < m_; ++p) encode_parity(p);
-#endif
+  });
 }
 
 bool XorCode::can_recover(const PresenceMap& present) const {
@@ -83,11 +68,13 @@ bool XorCode::decode(std::span<std::uint8_t* const> blocks,
     if (missing == k_ + m_) continue;
 
     // Rebuild the missing block as parity XOR all present group members.
-    std::uint8_t* out = blocks[missing];
-    std::memcpy(out, blocks[k_ + g], block_len);
-    for (std::size_t j = g; j < k_; j += m_) {
-      if (j != missing) Gf256::xor_acc(out, blocks[j], block_len);
-    }
+    for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
+      std::uint8_t* out = blocks[missing] + begin;
+      std::memcpy(out, blocks[k_ + g] + begin, end - begin);
+      for (std::size_t j = g; j < k_; j += m_) {
+        if (j != missing) Gf256::xor_acc(out, blocks[j] + begin, end - begin);
+      }
+    });
   }
   return true;
 }

@@ -554,6 +554,53 @@ TEST(AllocRegressionTest, ZeroAllocsPerMessageEcFallbackSteadyState) {
 }
 
 // ---------------------------------------------------------------------------
+// Reed-Solomon encode never allocates: its kernel constants are built when
+// the codec is constructed. Covers the fleet geometry (RS(4,2) on 4 KiB
+// chunks) and the bulk/Fig 11 one (RS(32,8) on 64 KiB chunks), under every
+// kernel tier this host runs and under the dispatched one.
+// ---------------------------------------------------------------------------
+TEST(AllocRegressionTest, ZeroAllocsPerWarmedUpReedSolomonEncode) {
+  struct Geometry {
+    std::size_t k, m, block;
+  };
+  for (const Geometry g : {Geometry{4, 2, 4 * KiB}, Geometry{32, 8, 64 * KiB}}) {
+    const ec::ReedSolomon codec(g.k, g.m);
+    std::vector<std::vector<std::uint8_t>> blocks(
+        g.k + g.m, std::vector<std::uint8_t>(g.block));
+    for (std::size_t b = 0; b < g.k; ++b) {
+      for (std::size_t i = 0; i < g.block; ++i) {
+        blocks[b][i] = static_cast<std::uint8_t>(b * 29 + i * 13 + (i >> 8));
+      }
+    }
+    std::vector<const std::uint8_t*> data(g.k);
+    std::vector<std::uint8_t*> parity(g.m);
+    for (std::size_t b = 0; b < g.k; ++b) data[b] = blocks[b].data();
+    for (std::size_t p = 0; p < g.m; ++p) parity[p] = blocks[g.k + p].data();
+    codec.encode(data, parity, g.block);  // resolves the dispatcher once
+    const std::vector<std::vector<std::uint8_t>> expect(blocks.begin() + g.k,
+                                                        blocks.end());
+
+    std::uint64_t before = g_allocs.load();
+    for (int rep = 0; rep < 4; ++rep) codec.encode(data, parity, g.block);
+    EXPECT_EQ(g_allocs.load() - before, 0u) << codec.name() << " dispatched";
+    for (const ec::GfIsa isa : {ec::GfIsa::kScalar, ec::GfIsa::kSsse3,
+                                ec::GfIsa::kAvx2, ec::GfIsa::kGfni}) {
+      const ec::GfKernels* kernels = ec::gf_kernels_for(isa);
+      if (kernels == nullptr || !ec::isa_supported(isa)) continue;
+      for (std::uint8_t* p : parity) std::memset(p, 0, g.block);
+      before = g_allocs.load();
+      codec.encode_with(*kernels, data, parity, g.block);
+      EXPECT_EQ(g_allocs.load() - before, 0u)
+          << codec.name() << " " << ec::isa_name(isa);
+      for (std::size_t p = 0; p < g.m; ++p) {
+        ASSERT_EQ(blocks[g.k + p], expect[p])
+            << codec.name() << " " << ec::isa_name(isa) << " parity " << p;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Reed-Solomon decode is allocation-free once the thread has decoded at
 // this k: matrices and coefficients live in a per-thread workspace (codecs
 // are shared across threads, so they hold none). Every loss count up to m,

@@ -2,10 +2,12 @@
 // (src/ec/gf256_kernels.*): every compiled ISA tier must be byte-identical
 // to the scalar reference for all 256 constants, across lengths that cover
 // sub-vector tails and every head/tail misalignment, for mul_set, mul_acc,
-// and the fused multi-row kernel. Plus unit tests for the pure SDR_EC_ISA
+// and the dot-product kernel; Reed-Solomon encode and decode are
+// byte-identical across tiers. Plus unit tests for the pure SDR_EC_ISA
 // resolution logic and the force/dispatch plumbing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -117,43 +119,80 @@ TEST(Gf256Kernels, UnalignedSrcDstOffsets) {
   }
 }
 
-// The fused multi-row kernel equals row-at-a-time mul_acc for every row
-// count around the register-group size, including zero coefficients
-// (skipped rows) interleaved with nonzero ones.
-TEST(Gf256Kernels, MulAccMultiMatchesRowAtATime) {
+// The dot product equals the bytewise reference for every row count up to
+// one past the widest register group (8 rows), 1..33 sources, every
+// kLengths tail, zero and identity coefficients mixed with general ones,
+// and source and output rows at assorted misalignments. Output rows start
+// out as a sentinel, so a kernel that read them instead of only writing
+// them fails, and the bytes around each output row must stay untouched.
+TEST(Gf256Kernels, DotProductMatchesReference) {
+  constexpr std::size_t kMaxRows = 9;
+  constexpr std::size_t kMaxSources = 33;
+  constexpr std::size_t kMaxLen = 1000;
+  constexpr std::size_t kPad = 64;
+  constexpr std::uint8_t kSentinel = 0xA5;
+  const Gf256& gf = Gf256::instance();
+  const std::vector<const GfKernels*> tiers = compiled_tiers();
   Rng rng(99);
-  constexpr std::size_t kMaxRows = 11;
-  for (const GfKernels* k : compiled_tiers()) {
-    SCOPED_TRACE(isa_name(k->isa));
-    for (std::size_t rows = 1; rows <= kMaxRows; ++rows) {
-      for (std::size_t n : {std::size_t{1}, std::size_t{31}, std::size_t{64},
-                            std::size_t{100}, std::size_t{1000}}) {
-        std::vector<std::uint8_t> src(n);
-        for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_below(256));
-        std::vector<std::uint8_t> coeffs(rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-          // Mix zeros (skip), ones, and general constants.
+
+  std::vector<std::vector<std::uint8_t>> src_buf(
+      kMaxSources, std::vector<std::uint8_t>(kPad + kMaxLen));
+  for (auto& buf : src_buf) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  }
+  std::vector<std::vector<std::uint8_t>> dst_buf(
+      kMaxRows, std::vector<std::uint8_t>(kPad + kMaxLen + kPad));
+  std::vector<std::vector<std::uint8_t>> expect(
+      kMaxRows, std::vector<std::uint8_t>(kMaxLen));
+  const std::uint8_t* src[kMaxSources];
+  std::uint8_t* dst[kMaxRows];
+  GfDotTables t;
+
+  for (std::size_t rows = 1; rows <= kMaxRows; ++rows) {
+    for (std::size_t sources = 1; sources <= kMaxSources; ++sources) {
+      t.reset(rows, sources);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t s = 0; s < sources; ++s) {
           const unsigned roll = rng.next_below(4);
-          coeffs[r] = roll == 0 ? 0
-                                : static_cast<std::uint8_t>(
-                                      rng.next_below(256));
+          t.set(r, s,
+                roll < 2 ? static_cast<std::uint8_t>(roll)
+                         : static_cast<std::uint8_t>(rng.next_below(256)));
         }
-        std::vector<std::vector<std::uint8_t>> expect(rows),
-            got(rows);
-        std::vector<std::uint8_t*> got_ptrs(rows);
+      }
+      for (std::size_t n : kLengths) {
+        const std::size_t src_off = rng.next_below(kPad);
+        for (std::size_t s = 0; s < sources; ++s) {
+          src[s] = src_buf[s].data() + (src_off + 5 * s) % kPad;
+        }
         for (std::size_t r = 0; r < rows; ++r) {
-          expect[r].resize(n);
-          for (auto& b : expect[r]) {
-            b = static_cast<std::uint8_t>(rng.next_below(256));
+          for (std::size_t i = 0; i < n; ++i) {
+            std::uint8_t acc = 0;
+            for (std::size_t s = 0; s < sources; ++s) {
+              acc ^= gf.mul(t.coeff(r, s), src[s][i]);
+            }
+            expect[r][i] = acc;
           }
-          got[r] = expect[r];
-          got_ptrs[r] = got[r].data();
-          reference_mul(expect[r].data(), src.data(), coeffs[r], n, true);
         }
-        k->mul_acc_multi(got_ptrs.data(), coeffs.data(), rows, src.data(), n);
-        for (std::size_t r = 0; r < rows; ++r) {
-          ASSERT_EQ(expect[r], got[r])
-              << "rows=" << rows << " n=" << n << " r=" << r;
+        for (const GfKernels* k : tiers) {
+          const std::size_t dst_off = rng.next_below(kPad);
+          for (std::size_t r = 0; r < rows; ++r) {
+            std::fill(dst_buf[r].begin(), dst_buf[r].end(), kSentinel);
+            dst[r] = dst_buf[r].data() + (dst_off + 3 * r) % kPad;
+          }
+          k->dot_prod(t, src, dst, n);
+          for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(0, std::memcmp(expect[r].data(), dst[r], n))
+                << isa_name(k->isa) << " rows=" << rows
+                << " sources=" << sources << " n=" << n << " r=" << r;
+            const std::size_t head = dst[r] - dst_buf[r].data();
+            for (std::size_t i = 0; i < dst_buf[r].size(); ++i) {
+              if (i >= head && i < head + n) continue;
+              ASSERT_EQ(dst_buf[r][i], kSentinel)
+                  << isa_name(k->isa) << " wrote outside row " << r
+                  << " at " << i << " (rows=" << rows
+                  << " sources=" << sources << " n=" << n << ")";
+            }
+          }
         }
       }
     }
@@ -206,6 +245,86 @@ TEST(Gf256Kernels, ReedSolomonEncodeIdenticalAcrossIsas) {
     rs.encode_with(*k, std::span<const std::uint8_t* const>(data_ptrs),
                    std::span<std::uint8_t* const>(parity_ptrs), kLen);
     EXPECT_EQ(ref_parity, parity) << isa_name(k->isa);
+  }
+}
+
+/// Decodes `present` under every supported tier; each must rebuild the
+/// erased data blocks of `blocks` (k data then m parity, all intact)
+/// exactly. Erased blocks start out as garbage.
+void expect_decode_identical_across_isas(
+    const ReedSolomon& rs, std::vector<std::vector<std::uint8_t>>& blocks,
+    const std::vector<std::vector<std::uint8_t>>& original,
+    const PresenceMap& present) {
+  const std::size_t len = blocks[0].size();
+  std::vector<std::uint8_t*> ptrs(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) ptrs[b] = blocks[b].data();
+  for (const GfKernels* k : compiled_tiers()) {
+    for (std::size_t d = 0; d < rs.k(); ++d) {
+      if (!present[d]) std::fill(blocks[d].begin(), blocks[d].end(), 0x5A);
+    }
+    ASSERT_TRUE(rs.decode_with(*k, std::span<std::uint8_t* const>(ptrs),
+                               present, len))
+        << isa_name(k->isa);
+    for (std::size_t d = 0; d < rs.k(); ++d) {
+      ASSERT_EQ(blocks[d], original[d])
+          << rs.name() << " " << isa_name(k->isa) << " len=" << len
+          << " data block " << d;
+    }
+  }
+}
+
+/// k random data blocks of `len` bytes plus their m parity blocks.
+std::vector<std::vector<std::uint8_t>> encoded_blocks(const ReedSolomon& rs,
+                                                      std::size_t len,
+                                                      Rng& rng) {
+  std::vector<std::vector<std::uint8_t>> blocks(
+      rs.k() + rs.m(), std::vector<std::uint8_t>(len));
+  std::vector<const std::uint8_t*> data(rs.k());
+  std::vector<std::uint8_t*> parity(rs.m());
+  for (std::size_t d = 0; d < rs.k(); ++d) {
+    for (auto& b : blocks[d]) b = static_cast<std::uint8_t>(rng.next_below(256));
+    data[d] = blocks[d].data();
+  }
+  for (std::size_t p = 0; p < rs.m(); ++p) parity[p] = blocks[rs.k() + p].data();
+  rs.encode_with(*gf_kernels_for(GfIsa::kScalar),
+                 std::span<const std::uint8_t* const>(data),
+                 std::span<std::uint8_t* const>(parity), len);
+  return blocks;
+}
+
+// Every tier rebuilds the same bytes: every erasure pattern of up to m
+// blocks (data and parity alike) for RS(4,2) and RS(6,3), and 200 seeded
+// patterns for RS(32,8) at the 64 KiB chunk size and at an odd length that
+// leaves a sub-vector tail.
+TEST(Gf256Kernels, ReedSolomonDecodeIdenticalAcrossIsas) {
+  Rng rng(4242);
+  for (const auto& [k, m] : {std::pair<std::size_t, std::size_t>{4, 2},
+                            std::pair<std::size_t, std::size_t>{6, 3}}) {
+    const ReedSolomon rs(k, m);
+    auto blocks = encoded_blocks(rs, 1031, rng);
+    const auto original = blocks;
+    for (unsigned mask = 0; mask < (1u << (k + m)); ++mask) {
+      if (static_cast<std::size_t>(std::popcount(mask)) > m) continue;
+      PresenceMap present(k + m);
+      for (std::size_t b = 0; b < k + m; ++b) {
+        present[b] = ((mask >> b) & 1u) == 0;
+      }
+      expect_decode_identical_across_isas(rs, blocks, original, present);
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  const ReedSolomon rs(32, 8);
+  for (std::size_t len : {std::size_t{64 * 1024}, std::size_t{4099}}) {
+    auto blocks = encoded_blocks(rs, len, rng);
+    const auto original = blocks;
+    for (int pattern = 0; pattern < 200; ++pattern) {
+      PresenceMap present(40, true);
+      const std::size_t lost = 1 + rng.next_below(8);
+      for (std::size_t j = 0; j < lost; ++j) present[rng.next_below(40)] = false;
+      expect_decode_identical_across_isas(rs, blocks, original, present);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
