@@ -57,25 +57,26 @@ bool XorCode::decode(std::span<std::uint8_t* const> blocks,
   assert(blocks.size() == k_ + m_ && present.size() == k_ + m_);
   if (!can_recover(present)) return false;
 
-  for (std::size_t g = 0; g < m_; ++g) {
-    std::size_t missing = k_ + m_;  // sentinel: none
-    for (std::size_t j = g; j < k_; j += m_) {
-      if (!present[j]) {
-        missing = j;
-        break;
+  // Rebuild each group's missing block as its parity XOR the present
+  // group members.
+  for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
+    const std::size_t n = end - begin;
+    for (std::size_t g = 0; g < m_; ++g) {
+      std::size_t missing = k_ + m_;  // sentinel: none
+      for (std::size_t j = g; j < k_; j += m_) {
+        if (!present[j]) {
+          missing = j;
+          break;
+        }
+      }
+      if (missing == k_ + m_) continue;
+      std::uint8_t* out = blocks[missing] + begin;
+      std::memcpy(out, blocks[k_ + g] + begin, n);
+      for (std::size_t j = g; j < k_; j += m_) {
+        if (j != missing) Gf256::xor_acc(out, blocks[j] + begin, n);
       }
     }
-    if (missing == k_ + m_) continue;
-
-    // Rebuild the missing block as parity XOR all present group members.
-    for_each_byte_range(block_len, [&](std::size_t begin, std::size_t end) {
-      std::uint8_t* out = blocks[missing] + begin;
-      std::memcpy(out, blocks[k_ + g] + begin, end - begin);
-      for (std::size_t j = g; j < k_; j += m_) {
-        if (j != missing) Gf256::xor_acc(out, blocks[j] + begin, end - begin);
-      }
-    });
-  }
+  });
   return true;
 }
 

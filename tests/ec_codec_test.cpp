@@ -125,6 +125,49 @@ TEST_P(CodecParamTest, RandomRecoverableErasurePatterns) {
   }
 }
 
+// From kParallelThreshold up, a pass is split across OpenMP threads by
+// byte range. Parity must equal the same block encoded in slices below the
+// threshold, and a decode of the whole block must restore the data. The
+// odd length leaves uneven ranges and a sub-vector tail.
+TEST_P(CodecParamTest, LargeBlocksSplitAcrossThreadsMatchSlicedCalls) {
+  const CodecCase c = GetParam();
+  auto codec = make_codec(c);
+  constexpr std::size_t kLen = 300 * 1024 + 13;
+  constexpr std::size_t kSlice = 64 * 1024;
+  Blocks whole(c.k, c.m, kLen, 5);
+  auto data = whole.data_ptrs();
+  auto parity = whole.parity_ptrs();
+  codec->encode(std::span<const std::uint8_t* const>(data),
+                std::span<std::uint8_t* const>(parity), kLen);
+
+  Blocks sliced(c.k, c.m, kLen, 5);
+  const auto sliced_parity = sliced.parity_ptrs();
+  for (std::size_t off = 0; off < kLen; off += kSlice) {
+    auto d = sliced.data_ptrs();
+    auto p = sliced.parity_ptrs();
+    for (auto& ptr : d) ptr += off;
+    for (auto& ptr : p) ptr += off;
+    codec->encode(std::span<const std::uint8_t* const>(d),
+                  std::span<std::uint8_t* const>(p),
+                  std::min(kSlice, kLen - off));
+  }
+  for (std::size_t i = 0; i < c.m; ++i) {
+    ASSERT_EQ(0, std::memcmp(parity[i], sliced_parity[i], kLen))
+        << codec->name() << " parity " << i;
+  }
+
+  // Data blocks 0..m-1: m losses for RS, one per group for XOR.
+  PresenceMap present(c.k + c.m, true);
+  for (std::size_t i = 0; i < c.m; ++i) {
+    present[i] = false;
+    whole.erase(i);
+  }
+  auto all = whole.all_ptrs();
+  ASSERT_TRUE(
+      codec->decode(std::span<std::uint8_t* const>(all), present, kLen));
+  EXPECT_TRUE(whole.data_intact()) << codec->name();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Codecs, CodecParamTest,
     ::testing::Values(CodecCase{4, 2, true}, CodecCase{8, 4, true},
