@@ -499,9 +499,9 @@ ArmResult run_protocol_arm(const Scenario& s, const RunnerOptions& opts,
                          std::to_string(pool_after) + " after");
   }
   if (opts.capture_trace) {
-    const std::vector<telemetry::TraceEvent> events = trace.collect();
-    check_trace_monotone(events, r);
-    if (!r.ok()) r.timeline = render_timeline(events, opts.timeline_tail);
+    r.trace = trace.collect();
+    check_trace_monotone(r.trace, r);
+    if (!r.ok()) r.timeline = render_timeline(r.trace, opts.timeline_tail);
   }
   if (opts.capture_flight) r.flight_json = flight.to_json();
   if (opts.capture_spans) {
@@ -694,9 +694,9 @@ ArmResult run_rc_arm(const Scenario& s, const RunnerOptions& opts) {
                          std::to_string(pool_after) + " after");
   }
   if (opts.capture_trace) {
-    const std::vector<telemetry::TraceEvent> events = trace.collect();
-    check_trace_monotone(events, r);
-    if (!r.ok()) r.timeline = render_timeline(events, opts.timeline_tail);
+    r.trace = trace.collect();
+    check_trace_monotone(r.trace, r);
+    if (!r.ok()) r.timeline = render_timeline(r.trace, opts.timeline_tail);
   }
   if (opts.capture_flight) r.flight_json = flight.to_json();
   if (opts.capture_spans) {

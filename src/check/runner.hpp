@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "check/scenario.hpp"
+#include "telemetry/trace.hpp"
 
 namespace sdr::check {
 
@@ -56,6 +57,8 @@ struct ArmResult {
   /// Per-message completion times (sim seconds), -1 when never completed.
   std::vector<double> done_at_s;
   std::uint64_t retransmissions{0};
+  /// The packet-lifecycle trace, oldest first (capture_trace runs only).
+  std::vector<telemetry::TraceEvent> trace;
   /// Rendered tail of the packet-lifecycle trace; filled on failure only.
   std::string timeline;
   /// Flight-recorder JSON dump of this arm (capture_flight runs only).

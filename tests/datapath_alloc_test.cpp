@@ -31,6 +31,7 @@
 #include "sdr/sdr.hpp"
 #include "sim/drop_model.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "verbs/nic.hpp"
 
 // ---------------------------------------------------------------------------
@@ -551,6 +552,96 @@ TEST(AllocRegressionTest, ZeroAllocsPerMessageEcFallbackSteadyState) {
   EXPECT_EQ(steady_allocs, 0u)
       << steady_allocs << " allocations in the steady-state window ("
       << (kIterations - kWarmup) << " EC fallback messages)";
+}
+
+// ---------------------------------------------------------------------------
+// The armed telemetry path is held to the same standard: a closed-loop SR
+// ReliableChannel over a 1e-3 lossy link with the packet tracer and the
+// flight recorder armed. The tracer ring is preallocated and small enough
+// to wrap inside the window; each connection's flight ring is allocated on
+// its first record, during warmup. Fanning every protocol transition out to
+// both sinks must then allocate nothing.
+// ---------------------------------------------------------------------------
+TEST(AllocRegressionTest, ZeroAllocsPerMessageSrLossyWithTracerAndFlightArmed) {
+  constexpr int kIterations = 300;
+  constexpr int kWarmup = 150;
+  constexpr std::size_t kMsgBytes = 256 * KiB;  // 64 packets, 16 chunks
+
+  telemetry::Tracer tracer;
+  telemetry::FlightRecorder flight;
+  tracer.arm(1u << 12);
+  flight.arm(64);
+  telemetry::ScopedTelemetry scoped(nullptr, &tracer, nullptr, &flight);
+
+  sim::Simulator sim;
+  sim::Channel::Config cfg;
+  cfg.bandwidth_bps = 100 * Gbps;
+  cfg.distance_km = 100.0;
+  cfg.seed = 43;
+  verbs::NicPair nics = verbs::make_connected_pair(sim, cfg, 1e-3, 0.0);
+
+  reliability::ReliableChannel::Options options;
+  options.kind = reliability::ReliableChannel::Kind::kSrRto;
+  options.profile.bandwidth_bps = cfg.bandwidth_bps;
+  options.profile.rtt_s = rtt_s(cfg.distance_km);
+  options.profile.p_drop_packet = 1e-3;
+  options.profile.mtu = 4096;
+  options.profile.chunk_bytes = 16 * KiB;
+  options.attr.mtu = 4096;
+  options.attr.chunk_size = 16 * KiB;
+  options.attr.max_msg_size = kMsgBytes;
+  options.attr.max_inflight = 32;
+  options.derive_timeouts();
+  reliability::ReliableChannel channel(sim, *nics.a, *nics.b, options);
+
+  std::vector<std::uint8_t> src(kMsgBytes);
+  for (std::size_t i = 0; i < kMsgBytes; ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 37 + (i >> 10));
+  }
+  std::vector<std::uint8_t> dst(kMsgBytes, 0);
+
+  struct Driver {
+    reliability::ReliableChannel& channel;
+    const std::vector<std::uint8_t>& src;
+    std::vector<std::uint8_t>& dst;
+    int posted{0};
+    int completed{0};
+    int corrupt{0};
+    std::uint64_t allocs_at_steady{0};
+    std::uint64_t retx_at_steady{0};
+
+    void post_pair() {
+      if (posted >= kIterations) return;
+      ++posted;
+      channel.recv(dst.data(), kMsgBytes,
+                   [this](const Status&) { on_recv_done(); });
+      channel.send(src.data(), kMsgBytes, [](const Status&) {});
+    }
+    void on_recv_done() {
+      ++completed;
+      if (std::memcmp(dst.data(), src.data(), kMsgBytes) != 0) ++corrupt;
+      if (completed == kWarmup) {
+        allocs_at_steady = g_allocs.load();
+        retx_at_steady = channel.retransmissions();
+      }
+      post_pair();
+    }
+  } driver{channel, src, dst};
+
+  driver.post_pair();
+  sim.run();
+
+  ASSERT_EQ(driver.completed, kIterations);
+  EXPECT_EQ(driver.corrupt, 0);
+  const std::uint64_t steady_allocs = g_allocs.load() - driver.allocs_at_steady;
+  // The window must cover the recovery rows (RTO, retransmit) and wrap the
+  // tracer ring, not just clean sends into an unfilled ring.
+  EXPECT_GT(channel.retransmissions(), driver.retx_at_steady);
+  EXPECT_GT(tracer.overwritten(), 0u);
+  EXPECT_GT(flight.connections(), 0u);
+  EXPECT_EQ(steady_allocs, 0u)
+      << steady_allocs << " allocations in the steady-state window ("
+      << (kIterations - kWarmup) << " SR messages, tracer and flight armed)";
 }
 
 // ---------------------------------------------------------------------------
