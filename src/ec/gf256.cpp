@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "ec/gf256_kernels.hpp"
-
 namespace sdr::ec {
 
 namespace {
@@ -72,33 +70,6 @@ std::uint8_t Gf256::pow(std::uint8_t a, unsigned e) const {
   if (a == 0) return 0;
   const unsigned idx = (static_cast<unsigned>(log_[a]) * e) % 255;
   return exp_[idx];
-}
-
-// The bulk kernels live in gf256_kernels.cpp behind the runtime ISA
-// dispatcher (split-table pshufb/vpshufb, gf2p8affineqb, scalar fallback);
-// these wrappers keep the historical API while routing through it.
-
-void Gf256::mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                    std::size_t n) const {
-  if (c == 0) return;
-  if (c == 1) {
-    xor_acc(dst, src, n);
-    return;
-  }
-  gf_kernels().mul_acc(dst, src, c, n);
-}
-
-void Gf256::mul_set(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                    std::size_t n) const {
-  if (c == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (c == 1) {
-    std::memcpy(dst, src, n);
-    return;
-  }
-  gf_kernels().mul_set(dst, src, c, n);
 }
 
 void Gf256::xor_acc(std::uint8_t* dst, const std::uint8_t* src,

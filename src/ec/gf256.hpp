@@ -2,10 +2,10 @@
 //
 // Field: GF(256) with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 // (0x11d, the AES-unrelated but RS-conventional choice used by most storage
-// codes). Multiplication uses exp/log tables; the bulk
-// multiply-and-accumulate kernel that dominates encode/decode cost uses a
-// per-constant 256-byte row of the full multiplication table so the inner
-// loop is a single dependent load per byte, which the compiler unrolls well.
+// codes). Multiplication uses exp/log tables; the scalar tier of the bulk
+// dot-product kernels (gf256_kernels.hpp) reads a per-constant 256-byte row
+// of the full multiplication table, so its inner loop is a single dependent
+// load per byte.
 #pragma once
 
 #include <array>
@@ -35,14 +35,6 @@ class Gf256 {
   const std::uint8_t* mul_row(std::uint8_t c) const {
     return mul_table_.data() + static_cast<std::size_t>(c) * 256;
   }
-
-  /// dst[i] ^= c * src[i] for i in [0, n) — the encode/decode hot loop.
-  void mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-               std::size_t n) const;
-
-  /// dst[i] = c * src[i].
-  void mul_set(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-               std::size_t n) const;
 
   /// dst[i] ^= src[i] (c == 1 fast path, shared with the XOR code).
   static void xor_acc(std::uint8_t* dst, const std::uint8_t* src,

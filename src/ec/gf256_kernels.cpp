@@ -142,45 +142,6 @@ void dot_prod_in_groups(const GfDotTables& t, const std::uint8_t* const* src,
 // SSSE3 tier: 16 lanes per pshufb pair.
 // ---------------------------------------------------------------------------
 
-template <bool kAccumulate>
-__attribute__((target("ssse3"))) void ssse3_mul(std::uint8_t* dst,
-                                                const std::uint8_t* src,
-                                                std::uint8_t c,
-                                                std::size_t n) {
-  if (c == 0) {
-    if constexpr (!kAccumulate) std::memset(dst, 0, n);
-    return;
-  }
-  const SplitTables& t = split_tables();
-  const __m128i vlo =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
-  const __m128i vhi =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i lo = _mm_shuffle_epi8(vlo, _mm_and_si128(x, mask));
-    const __m128i hi = _mm_shuffle_epi8(
-        vhi, _mm_and_si128(_mm_srli_epi16(x, 4), mask));
-    __m128i prod = _mm_xor_si128(lo, hi);
-    if constexpr (kAccumulate) {
-      prod = _mm_xor_si128(
-          prod, _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i)));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), prod);
-  }
-  const std::uint8_t* row = Gf256::instance().mul_row(c);
-  for (; i < n; ++i) {
-    if constexpr (kAccumulate) {
-      dst[i] ^= row[src[i]];
-    } else {
-      dst[i] = row[src[i]];
-    }
-  }
-}
-
 /// Eight accumulators, the nibble mask, both index vectors and the two
 /// table loads fit the 16 xmm registers.
 struct Ssse3Dot {
@@ -223,45 +184,6 @@ struct Ssse3Dot {
 // AVX2 tier: 32 lanes per vpshufb pair (the 16-byte tables are broadcast to
 // both 128-bit halves — vpshufb shuffles within each half).
 // ---------------------------------------------------------------------------
-
-template <bool kAccumulate>
-__attribute__((target("avx2"))) void avx2_mul(std::uint8_t* dst,
-                                              const std::uint8_t* src,
-                                              std::uint8_t c, std::size_t n) {
-  if (c == 0) {
-    if constexpr (!kAccumulate) std::memset(dst, 0, n);
-    return;
-  }
-  const SplitTables& t = split_tables();
-  const __m256i vlo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-  const __m256i vhi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i lo = _mm256_shuffle_epi8(vlo, _mm256_and_si256(x, mask));
-    const __m256i hi = _mm256_shuffle_epi8(
-        vhi, _mm256_and_si256(_mm256_srli_epi16(x, 4), mask));
-    __m256i prod = _mm256_xor_si256(lo, hi);
-    if constexpr (kAccumulate) {
-      prod = _mm256_xor_si256(
-          prod,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), prod);
-  }
-  const std::uint8_t* row = Gf256::instance().mul_row(c);
-  for (; i < n; ++i) {
-    if constexpr (kAccumulate) {
-      dst[i] ^= row[src[i]];
-    } else {
-      dst[i] = row[src[i]];
-    }
-  }
-}
 
 /// The SSSE3 group shape at 32 lanes: each 16-byte table is broadcast to
 /// both halves straight from memory (vpshufb shuffles within each half).
@@ -306,37 +228,6 @@ struct Avx2Dot {
 // in Gf256) to 64 bytes per instruction — no split tables needed at all.
 // ---------------------------------------------------------------------------
 
-template <bool kAccumulate>
-__attribute__((target("gfni,avx512f,avx512bw"))) void gfni_mul(
-    std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-    std::size_t n) {
-  if (c == 0) {
-    if constexpr (!kAccumulate) std::memset(dst, 0, n);
-    return;
-  }
-  const __m512i a = _mm512_set1_epi64(
-      static_cast<long long>(Gf256::instance().affine_matrix(c)));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i x =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(src + i));
-    __m512i prod = _mm512_gf2p8affine_epi64_epi8(x, a, 0);
-    if constexpr (kAccumulate) {
-      prod = _mm512_xor_si512(
-          prod, _mm512_loadu_si512(reinterpret_cast<const void*>(dst + i)));
-    }
-    _mm512_storeu_si512(reinterpret_cast<void*>(dst + i), prod);
-  }
-  const std::uint8_t* row = Gf256::instance().mul_row(c);
-  for (; i < n; ++i) {
-    if constexpr (kAccumulate) {
-      dst[i] ^= row[src[i]];
-    } else {
-      dst[i] = row[src[i]];
-    }
-  }
-}
-
 /// Each bit matrix is broadcast from memory; the accumulators take 8 of
 /// the 32 zmm registers.
 struct GfniDot {
@@ -374,16 +265,11 @@ struct GfniDot {
 // Kernel tables + dispatch
 // ---------------------------------------------------------------------------
 
-constexpr GfKernels kScalarTable{GfIsa::kScalar, &scalar_mul_acc,
-                                 &scalar_mul_set, &scalar_dot_prod};
+constexpr GfKernels kScalarTable{GfIsa::kScalar, &scalar_dot_prod};
 #if defined(SDR_GF_X86_KERNELS)
-constexpr GfKernels kSsse3Table{GfIsa::kSsse3, &ssse3_mul<true>,
-                                &ssse3_mul<false>,
-                                &dot_prod_in_groups<Ssse3Dot>};
-constexpr GfKernels kAvx2Table{GfIsa::kAvx2, &avx2_mul<true>,
-                               &avx2_mul<false>, &dot_prod_in_groups<Avx2Dot>};
-constexpr GfKernels kGfniTable{GfIsa::kGfni, &gfni_mul<true>,
-                               &gfni_mul<false>, &dot_prod_in_groups<GfniDot>};
+constexpr GfKernels kSsse3Table{GfIsa::kSsse3, &dot_prod_in_groups<Ssse3Dot>};
+constexpr GfKernels kAvx2Table{GfIsa::kAvx2, &dot_prod_in_groups<Avx2Dot>};
+constexpr GfKernels kGfniTable{GfIsa::kGfni, &dot_prod_in_groups<GfniDot>};
 #endif
 
 bool isa_compiled(GfIsa isa) {

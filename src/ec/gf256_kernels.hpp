@@ -80,12 +80,6 @@ class GfDotTables {
 struct GfKernels {
   GfIsa isa{GfIsa::kScalar};
 
-  /// dst[i] ^= c * src[i].
-  void (*mul_acc)(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                  std::size_t n);
-  /// dst[i] = c * src[i].
-  void (*mul_set)(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                  std::size_t n);
   /// Dot product: dst[r][i] = XOR_s t.coeff(r, s) * src[s][i] for every
   /// r < t.rows(), s < t.sources(), i < n. Output rows are only written,
   /// never read — ReedSolomon::encode and the decode solve are each one

@@ -1,14 +1,17 @@
 // Exhaustive properties for the vectorized GF(256) kernel layer
 // (src/ec/gf256_kernels.*): every compiled ISA tier must be byte-identical
 // to the scalar reference for all 256 constants, across lengths that cover
-// sub-vector tails and every head/tail misalignment, for mul_set, mul_acc,
-// and the dot-product kernel; Reed-Solomon encode and decode are
+// sub-vector tails and every head/tail misalignment, for one-row
+// multiply-set and multiply-accumulate forms and the general dot-product
+// kernel; Reed-Solomon encode and decode are
 // byte-identical across tiers. Plus unit tests for the pure SDR_EC_ISA
 // resolution logic and the force/dispatch plumbing.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -38,6 +41,20 @@ void reference_mul(std::uint8_t* dst, const std::uint8_t* src,
   }
 }
 
+/// One output row of a dot product: dst = XOR_s coeffs[s] * src[s]. The
+/// row (c) over (src) is the multiply-set form; the row (1, c) over
+/// (base, src) the multiply-accumulate form, written to a separate dst.
+void one_row(const GfKernels& k, std::uint8_t* dst,
+             std::initializer_list<std::uint8_t> coeffs,
+             std::initializer_list<const std::uint8_t*> src, std::size_t n) {
+  GfDotTables t;
+  t.reset(1, coeffs.size());
+  std::size_t s = 0;
+  for (const std::uint8_t c : coeffs) t.set(0, s++, c);
+  std::uint8_t* out[] = {dst};
+  k.dot_prod(t, std::data(src), out, n);
+}
+
 std::vector<const GfKernels*> compiled_tiers() {
   std::vector<const GfKernels*> tiers;
   for (GfIsa isa : kAllIsas) {
@@ -47,8 +64,9 @@ std::vector<const GfKernels*> compiled_tiers() {
   return tiers;
 }
 
-// Every supported tier, every constant, every tail length: mul_set and
-// mul_acc match the table reference byte for byte.
+// Every supported tier, every constant, every tail length: the one-row
+// multiply-set and multiply-accumulate forms match the table reference byte
+// for byte, and leave the bytes past n alone.
 TEST(Gf256Kernels, AllConstantsAllLengthsMatchReference) {
   Rng rng(2024);
   std::vector<std::uint8_t> src(1024), expect(1024), got(1024), base(1024);
@@ -58,23 +76,22 @@ TEST(Gf256Kernels, AllConstantsAllLengthsMatchReference) {
   for (const GfKernels* k : compiled_tiers()) {
     SCOPED_TRACE(isa_name(k->isa));
     for (unsigned c = 0; c < 256; ++c) {
+      const auto cb = static_cast<std::uint8_t>(c);
       for (std::size_t n : kLengths) {
-        // mul_set
+        // dst = c * src
         expect = base;
         got = base;
-        reference_mul(expect.data(), src.data(),
-                      static_cast<std::uint8_t>(c), n, false);
-        k->mul_set(got.data(), src.data(), static_cast<std::uint8_t>(c), n);
+        reference_mul(expect.data(), src.data(), cb, n, false);
+        one_row(*k, got.data(), {cb}, {src.data()}, n);
         ASSERT_EQ(0, std::memcmp(expect.data(), got.data(), expect.size()))
-            << "mul_set c=" << c << " n=" << n;
-        // mul_acc
+            << "set c=" << c << " n=" << n;
+        // dst = base ^ c * src
         expect = base;
         got = base;
-        reference_mul(expect.data(), src.data(),
-                      static_cast<std::uint8_t>(c), n, true);
-        k->mul_acc(got.data(), src.data(), static_cast<std::uint8_t>(c), n);
+        reference_mul(expect.data(), src.data(), cb, n, true);
+        one_row(*k, got.data(), {1, cb}, {base.data(), src.data()}, n);
         ASSERT_EQ(0, std::memcmp(expect.data(), got.data(), expect.size()))
-            << "mul_acc c=" << c << " n=" << n;
+            << "acc c=" << c << " n=" << n;
       }
     }
   }
@@ -97,16 +114,15 @@ TEST(Gf256Kernels, UnalignedSrcDstOffsets) {
     for (std::size_t so = 0; so < 16; ++so) {
       for (std::size_t dof = 0; dof < 16; ++dof) {
         const std::uint8_t c = static_cast<std::uint8_t>(
-            2 + rng.next_below(254));  // skip 0/1 fast paths
+            2 + rng.next_below(254));  // skip 0/1 coefficients
         for (auto& b : dst_buf) {
           b = static_cast<std::uint8_t>(rng.next_below(256));
         }
         const std::vector<std::uint8_t> dst_before = dst_buf;
         const std::uint8_t* src = src_buf.data() + so;
         std::uint8_t* dst = dst_buf.data() + dof;
-        std::memcpy(expect.data(), dst, kN);
-        reference_mul(expect.data(), src, c, kN, true);
-        k->mul_acc(dst, src, c, kN);
+        reference_mul(expect.data(), src, c, kN, false);
+        one_row(*k, dst, {c}, {src}, kN);
         ASSERT_EQ(0, std::memcmp(expect.data(), dst, kN))
             << "so=" << so << " dof=" << dof;
         // Out-of-range bytes untouched.
@@ -199,21 +215,20 @@ TEST(Gf256Kernels, DotProductMatchesReference) {
   }
 }
 
-// The high-level Gf256 entry points route through the dispatcher and must
-// agree with the reference for the full constant range too (c==0 / c==1
-// take fast paths there).
+// The dispatched kernel set (gf_kernels(), what ReedSolomon runs) agrees
+// with the reference for the full constant range, 0 and 1 included, on a
+// length with a sub-vector tail in every tier.
 TEST(Gf256Kernels, Gf256WrappersMatchReference) {
-  const Gf256& gf = Gf256::instance();
   Rng rng(5);
-  std::vector<std::uint8_t> src(257), expect(257), got(257);
+  std::vector<std::uint8_t> src(257), base(257), expect(257), got(257);
   for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_below(256));
   for (unsigned c = 0; c < 256; ++c) {
-    for (auto& b : got) b = static_cast<std::uint8_t>(rng.next_below(256));
-    expect = got;
-    reference_mul(expect.data(), src.data(), static_cast<std::uint8_t>(c),
-                  src.size(), true);
-    gf.mul_acc(got.data(), src.data(), static_cast<std::uint8_t>(c),
-               src.size());
+    const auto cb = static_cast<std::uint8_t>(c);
+    for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_below(256));
+    expect = base;
+    reference_mul(expect.data(), src.data(), cb, src.size(), true);
+    one_row(gf_kernels(), got.data(), {1, cb}, {base.data(), src.data()},
+            src.size());
     ASSERT_EQ(expect, got) << "c=" << c;
   }
 }

@@ -3,10 +3,13 @@
 // property's foundation), Gauss-Jordan inversion.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ec/gf256.hpp"
+#include "ec/gf256_kernels.hpp"
 #include "ec/matrix.hpp"
 
 namespace sdr::ec {
@@ -88,6 +91,22 @@ TEST(Gf256Test, PowMatchesRepeatedMultiplication) {
   }
 }
 
+// The multiply-accumulate and multiply-set forms of the bulk loop are
+// one-row dot products through the dispatched kernel set: dst = base ^ c*src
+// is the row (1, c) over the sources (base, src), dst = c*src the row (c).
+std::vector<std::uint8_t> dot_row(std::initializer_list<std::uint8_t> coeffs,
+                                  std::initializer_list<const std::uint8_t*> src,
+                                  std::size_t n) {
+  GfDotTables t;
+  t.reset(1, coeffs.size());
+  std::size_t s = 0;
+  for (const std::uint8_t c : coeffs) t.set(0, s++, c);
+  std::vector<std::uint8_t> out(n, 0xEE);
+  std::uint8_t* dst[] = {out.data()};
+  gf_kernels().dot_prod(t, std::data(src), dst, n);
+  return out;
+}
+
 TEST(Gf256Test, MulAccKernelMatchesScalar) {
   Rng rng(109);
   std::vector<std::uint8_t> src(1000), dst(1000), expect(1000);
@@ -100,31 +119,30 @@ TEST(Gf256Test, MulAccKernelMatchesScalar) {
   for (std::size_t i = 0; i < src.size(); ++i) {
     expect[i] ^= gf().mul(c, src[i]);
   }
-  gf().mul_acc(dst.data(), src.data(), c, dst.size());
-  EXPECT_EQ(dst, expect);
+  EXPECT_EQ(dot_row({1, c}, {dst.data(), src.data()}, dst.size()), expect);
 }
 
 TEST(Gf256Test, MulAccSpecialConstants) {
-  std::vector<std::uint8_t> src(64, 0x5b), dst(64, 0x11);
-  // c == 0: no-op.
-  gf().mul_acc(dst.data(), src.data(), 0, dst.size());
-  EXPECT_EQ(dst, std::vector<std::uint8_t>(64, 0x11));
+  const std::vector<std::uint8_t> src(64, 0x5b), dst(64, 0x11);
+  // c == 0: dst unchanged.
+  EXPECT_EQ(dot_row({1, 0}, {dst.data(), src.data()}, dst.size()), dst);
   // c == 1: plain XOR.
-  gf().mul_acc(dst.data(), src.data(), 1, dst.size());
-  EXPECT_EQ(dst, std::vector<std::uint8_t>(64, 0x11 ^ 0x5b));
+  EXPECT_EQ(dot_row({1, 1}, {dst.data(), src.data()}, dst.size()),
+            std::vector<std::uint8_t>(64, 0x11 ^ 0x5b));
 }
 
 TEST(Gf256Test, MulSetMatchesMul) {
-  std::vector<std::uint8_t> src(128), dst(128);
+  std::vector<std::uint8_t> src(128);
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i] = static_cast<std::uint8_t>(i * 7);
   }
-  gf().mul_set(dst.data(), src.data(), 0x3c, dst.size());
+  const std::vector<std::uint8_t> dst =
+      dot_row({0x3c}, {src.data()}, src.size());
   for (std::size_t i = 0; i < src.size(); ++i) {
     ASSERT_EQ(dst[i], gf().mul(0x3c, src[i]));
   }
-  gf().mul_set(dst.data(), src.data(), 0, dst.size());
-  EXPECT_EQ(dst, std::vector<std::uint8_t>(128, 0));
+  EXPECT_EQ(dot_row({0}, {src.data()}, src.size()),
+            std::vector<std::uint8_t>(128, 0));
 }
 
 // ---------------------------------------------------------------------------
