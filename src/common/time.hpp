@@ -6,6 +6,7 @@
 // and the conversions between them.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <limits>
 

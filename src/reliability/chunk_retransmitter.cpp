@@ -56,22 +56,20 @@ void ChunkRetransmitter::send(std::uint64_t number, std::size_t chunk,
   const std::size_t len =
       std::min(chunk_bytes_, streams_[slot_of(number)].bytes - offset);
   const bool retransmission = kind != Send::kFirst;
-  const auto chunk32 = static_cast<std::uint32_t>(chunk);
-  if (retransmission && telemetry::tracing()) {
+  if (retransmission && telemetry::armed()) {
     // Before the injection: the re-post can traverse the channel in the
     // same sim-time instant, and the timeline should read
-    // retransmit -> posted -> tx.
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRetransmit,
-                             0, number, chunk32, telemetry::kNoImm, len);
-  }
-  if (retransmission && telemetry::spanning()) {
-    // Also before injection, so the fresh attempt span inherits the pending
-    // drop/RTO cause and the flow arrow points at it.
-    telemetry::spans().on_retransmit(sim_.now(), number, chunk32, len);
-  }
-  if (retransmission && telemetry::flight_recording()) {
-    telemetry::flight().record(layer_, qp_.control_qp_num(), "retransmit",
-                               sim_.now(), number, chunk, retries_[i], len);
+    // retransmit -> posted -> tx; the fresh attempt span then inherits the
+    // pending drop/RTO cause and the flow arrow points at it.
+    telemetry::emit({.kind = layer_ == telemetry::FlightLayer::kEc
+                                 ? telemetry::EventKind::kEcRetransmit
+                                 : telemetry::EventKind::kSrRetransmit,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = number,
+                     .chunk = static_cast<std::uint32_t>(chunk),
+                     .bytes = len,
+                     .x = retries_[i]});
   }
   if (!inject_(number, offset, len, retransmission)) return;
   // Karn: a retransmitted chunk's acknowledgment is ambiguous.
@@ -99,19 +97,16 @@ void ChunkRetransmitter::on_rto(std::uint64_t number, std::size_t chunk) {
                                 ? telemetry::ProfCategory::kEc
                                 : telemetry::ProfCategory::kSr);
   if (!tracking(number) || is_acked(number, chunk)) return;
-  const auto chunk32 = static_cast<std::uint32_t>(chunk);
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRtoFired,
-                             0, number, chunk32);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_rto(sim_.now(), number, chunk32);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(layer_, qp_.control_qp_num(), "rto_fired",
-                               sim_.now(), number, chunk,
-                               retries_[at(number, chunk)],
-                               static_cast<std::uint64_t>(rto_s() * 1e6));
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = layer_ == telemetry::FlightLayer::kEc
+                                 ? telemetry::EventKind::kEcRtoFired
+                                 : telemetry::EventKind::kSrRtoFired,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = number,
+                     .chunk = static_cast<std::uint32_t>(chunk),
+                     .x = retries_[at(number, chunk)],
+                     .y = static_cast<std::uint64_t>(rto_s() * 1e6)});
   }
   send(number, chunk, Send::kRetry);
   arm(number, chunk);

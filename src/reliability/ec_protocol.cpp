@@ -168,10 +168,13 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   msg.done = std::move(done);
   ++inflight_;
   ++stats_.messages;
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "write", sim_.now(), base,
-                               length, L);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcWrite,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = base,
+                     .bytes = length,
+                     .x = L});
   }
   return Status::ok();
 }
@@ -207,20 +210,13 @@ void EcSender::enter_fallback(MsgState& msg,
   const std::uint64_t base = msg.base;
   for (std::uint32_t sub : failed) {
     if (sub >= msg.submessages || retx_.tracking(base + sub)) continue;
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(sim_.now(),
-                               telemetry::TraceEventType::kEcFallback, 0,
-                               base, sub);
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_instant(sim_.now(),
-                                    telemetry::TraceEventType::kEcFallback,
-                                    base, sub);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kEc,
-                                 qp_.control_qp_num(), "enter_fallback",
-                                 sim_.now(), base, sub, config_.k);
+    if (telemetry::armed()) {
+      telemetry::emit({.kind = telemetry::EventKind::kEcFallback,
+                       .t = sim_.now(),
+                       .conn = qp_.control_qp_num(),
+                       .msg = base,
+                       .chunk = sub,
+                       .x = config_.k});
     }
     retx_.start(base + sub, config_.k * chunk_bytes_);
     for (std::size_t c = 0; c < config_.k; ++c) {
@@ -239,11 +235,13 @@ void EcSender::finish(std::uint64_t base) {
   if (msg_completion_hist_.live() && msg.write_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "msg_done", sim_.now(),
-                               base, msg.submessages,
-                               stats_.fallback_retransmissions);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcMsgDone,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = base,
+                     .x = msg.submessages,
+                     .y = stats_.fallback_retransmissions});
   }
   const std::size_t L = msg.submessages;
   for (std::size_t s = 0; s < L; ++s) {
@@ -492,11 +490,14 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   if (chunk_completion_hist_.live() && msg.posted_at_s >= 0.0) {
     chunk_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "sub_recovered",
-                               sim_.now(), msg.base, sub, msg.subs_recovered,
-                               msg.submessages);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcSubRecovered,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg.base,
+                     .chunk = static_cast<std::uint32_t>(sub),
+                     .x = msg.subs_recovered,
+                     .y = msg.submessages});
   }
   if (msg.fallback) {
     // Tell the sender to stop retransmitting this submessage.
@@ -544,20 +545,12 @@ bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
     return false;
   }
   ++stats_.decoded_submessages;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kEcRepair,
-                             0, data_number, static_cast<std::uint32_t>(sub));
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kEcRepair,
-                                  data_number,
-                                  static_cast<std::uint32_t>(sub));
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "ec_repair", sim_.now(),
-                               data_number, sub);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcRepair,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = data_number,
+                     .chunk = static_cast<std::uint32_t>(sub)});
   }
   return true;
 }
@@ -581,18 +574,13 @@ void EcReceiver::on_fto(std::uint64_t base) {
   if (found == nullptr || found->complete) return;
   MsgState& msg = *found;
   ++stats_.ftos_fired;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kRtoFired,
-                             0, base);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_rto(sim_.now(), base, telemetry::kNoChunk);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "fto_fired", sim_.now(),
-                               base, msg.submessages - msg.subs_recovered,
-                               stats_.ftos_fired);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcFtoFired,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = base,
+                     .x = msg.submessages - msg.subs_recovered,
+                     .y = stats_.ftos_fired});
   }
   const bool first_fire = !msg.fallback;
   msg.fallback = true;
@@ -681,11 +669,13 @@ void EcReceiver::complete(MsgState& msg) {
   if (msg_completion_hist_.live() && msg.posted_at_s >= 0.0) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.posted_at_s);
   }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kEc,
-                               qp_.control_qp_num(), "msg_complete",
-                               sim_.now(), base, msg.submessages,
-                               stats_.decoded_submessages);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kEcMsgComplete,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = base,
+                     .x = msg.submessages,
+                     .y = stats_.decoded_submessages});
   }
   if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);

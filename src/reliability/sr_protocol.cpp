@@ -96,10 +96,13 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   ++inflight_;
   ++stats_.messages;
   const std::size_t chunks = retx_.chunks(msg_number);
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "write", sim_.now(),
-                               msg_number, length, chunks);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kSrWrite,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg_number,
+                     .bytes = length,
+                     .x = chunks});
   }
 
   for (std::size_t c = 0; c < chunks; ++c) {
@@ -125,22 +128,27 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
         chunk_completion_hist_.record(sim_.now().seconds() -
                                       slot(number).write_at_s);
       }
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kSr,
-                                   qp_.control_qp_num(), "ack_applied",
-                                   sim_.now(), number, msg.cumulative,
-                                   retx_.acked(number), retx_.chunks(number));
+      if (telemetry::armed()) {
+        telemetry::emit({.kind = telemetry::EventKind::kSrAckApplied,
+                         .t = sim_.now(),
+                         .conn = qp_.control_qp_num(),
+                         .msg = number,
+                         .chunk = msg.cumulative,
+                         .x = retx_.acked(number),
+                         .y = retx_.chunks(number)});
       }
       break;
     }
     case ControlType::kSrNack: {
       ++stats_.nacks_received;
       for (std::uint32_t chunk : msg.indices) retx_.retransmit(number, chunk);
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kSr,
-                                   qp_.control_qp_num(), "nack_applied",
-                                   sim_.now(), number, msg.indices.size(),
-                                   msg.indices.empty() ? 0 : msg.indices[0]);
+      if (telemetry::armed()) {
+        telemetry::emit({.kind = telemetry::EventKind::kSrNackApplied,
+                         .t = sim_.now(),
+                         .conn = qp_.control_qp_num(),
+                         .msg = number,
+                         .chunk = msg.indices.empty() ? 0 : msg.indices[0],
+                         .x = msg.indices.size()});
       }
       break;
     }
@@ -153,11 +161,13 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
 void SrSender::finish(std::uint64_t msg_number) {
   MsgState& msg = slot(msg_number);
   msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "msg_done", sim_.now(),
-                               msg_number, retx_.chunks(msg_number),
-                               stats_.retransmissions);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kSrMsgDone,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg_number,
+                     .x = retx_.chunks(msg_number),
+                     .y = stats_.retransmissions});
   }
   retx_.stop(msg_number);
   --inflight_;
@@ -271,20 +281,13 @@ void SrReceiver::send_ack(MsgState& msg) {
   encode_control(ack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kAckSent,
-                             0, ack.msg_number, ack.cumulative);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kAckSent,
-                                  ack.msg_number, ack.cumulative);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "ack_sent", sim_.now(),
-                               ack.msg_number, ack.cumulative,
-                               ack.selective.size());
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kSrAckSent,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = ack.msg_number,
+                     .chunk = ack.cumulative,
+                     .x = ack.selective.size()});
   }
 }
 
@@ -324,20 +327,13 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   encode_control(nack, wire_scratch_);
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.nacks_sent;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kNackSent,
-                             0, nack.msg_number, nack.indices.front());
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(sim_.now(),
-                                  telemetry::TraceEventType::kNackSent,
-                                  nack.msg_number, nack.indices.front());
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "nack_sent", sim_.now(),
-                               nack.msg_number, nack.indices.size(),
-                               nack.indices.front());
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kSrNackSent,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = nack.msg_number,
+                     .chunk = nack.indices.front(),
+                     .x = nack.indices.size()});
   }
 }
 
@@ -365,14 +361,12 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
   // Final ACK (repeated to survive control-path drops).
   const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
   send_final_ack(msg_number, cumulative);
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(sim_.now(), telemetry::TraceEventType::kAckSent,
-                             0, msg_number, cumulative);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kSr,
-                               qp_.control_qp_num(), "msg_complete", sim_.now(),
-                               msg_number, msg.chunks);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kSrFinalAck,
+                     .t = sim_.now(),
+                     .conn = qp_.control_qp_num(),
+                     .msg = msg_number,
+                     .chunk = cumulative});
   }
   for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {
     // The repeat rebuilds the (tiny, constant) final ACK into the scratch

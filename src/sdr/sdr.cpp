@@ -382,21 +382,19 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
     // Emit before the post: the post may traverse the whole channel
     // synchronously in sim time, and within one timestamp the ring keeps
     // emission order, so the timeline should read posted -> tx -> ...
-    if (telemetry::tracing()) {
-      telemetry::tracer().emit(
-          sim_now(), telemetry::TraceEventType::kPosted,
-          remote_data_qps_[gen * attr_.channels + channel],
-          handle->msg_number_, packet_index, imm, chunk);
-    }
-    if (telemetry::spanning()) {
-      // The span tree keys chunks at reliability granularity
-      // (attr.chunk_size) so SR/EC rto/retransmit instants join the same
-      // chunk span as the packets they re-send.
-      telemetry::spans().on_posted(
-          sim_now(), remote_data_qps_[gen * attr_.channels + channel],
-          handle->msg_number_,
-          static_cast<std::uint32_t>(byte_off / attr_.chunk_size),
-          packet_index, imm, chunk);
+    // The chunk is at reliability granularity (attr.chunk_size) so SR/EC
+    // rto/retransmit span instants join the chunk span of the packets they
+    // re-send.
+    if (telemetry::armed()) {
+      telemetry::emit(
+          {.kind = telemetry::EventKind::kPosted,
+           .t = sim_now(),
+           .conn = remote_data_qps_[gen * attr_.channels + channel],
+           .msg = handle->msg_number_,
+           .chunk = static_cast<std::uint32_t>(byte_off / attr_.chunk_size),
+           .packet = packet_index,
+           .imm = imm,
+           .bytes = chunk});
     }
 
     if (attr_.transport == Transport::kUd) {
@@ -591,14 +589,11 @@ void Qp::on_control_cqe() {
       rwr.length = sizeof(CtsMessage);
       control_qp_->post_recv(rwr);
       ++stats_.cts_received;
-      if (telemetry::tracing()) {
-        telemetry::tracer().emit(sim_now(), telemetry::TraceEventType::kCts,
-                                 control_qp_->num(), cts.msg_number);
-      }
-      if (telemetry::spanning()) {
-        telemetry::spans().on_instant(sim_now(),
-                                      telemetry::TraceEventType::kCts,
-                                      cts.msg_number, telemetry::kNoChunk);
+      if (telemetry::armed()) {
+        telemetry::emit({.kind = telemetry::EventKind::kCts,
+                         .t = sim_now(),
+                         .conn = control_qp_->num(),
+                         .msg = cts.msg_number});
       }
 
       // Order-based matching: the in-flight send for this msg_number, if
@@ -673,33 +668,33 @@ void Qp::on_data_cqe(std::size_t qp_index) {
         continue;
       }
       RecvHandle* h = &recv_handles_[fields.msg_id];
-      if (telemetry::tracing()) {
-        const std::uint64_t msg =
-            h->in_use_ ? h->msg_number_ : telemetry::kNoMsg;
-        auto& tr = telemetry::tracer();
-        const SimTime now = sim_now();
-        const std::uint32_t qp_num = data_qps_[qp_index]->num();
-        tr.emit(now, telemetry::TraceEventType::kCqe, qp_num, msg,
-                fields.packet_index, cqe.imm, cqe.byte_len);
+      if (telemetry::armed()) {
+        // A completion for a recycled handle has no message: traced, but
+        // it drives no span.
+        telemetry::Event e{.kind = telemetry::EventKind::kCqe,
+                           .t = sim_now(),
+                           .conn = data_qps_[qp_index]->num(),
+                           .msg = h->in_use_ ? h->msg_number_
+                                             : telemetry::kNoMsg,
+                           .packet = fields.packet_index,
+                           .imm = cqe.imm,
+                           .bytes = cqe.byte_len};
+        telemetry::emit(e);
         if (result.chunk_completed) {
-          tr.emit(now, telemetry::TraceEventType::kBitmapUpdate, qp_num, msg,
-                  result.chunk_index);
+          telemetry::emit({.kind = telemetry::EventKind::kChunkCompleted,
+                           .t = e.t,
+                           .conn = e.conn,
+                           .msg = e.msg,
+                           .chunk = result.chunk_index});
         }
         if (result.message_completed) {
-          tr.emit(now, telemetry::TraceEventType::kMsgComplete, qp_num, msg);
+          telemetry::emit({.kind = telemetry::EventKind::kMsgCompleted,
+                           .t = e.t,
+                           .conn = e.conn,
+                           .msg = e.msg});
         }
       }
       if (h->in_use_) {
-        if (telemetry::spanning()) {
-          auto& sp = telemetry::spans();
-          const SimTime now = sim_now();
-          if (result.chunk_completed) {
-            sp.on_chunk_done(now, h->msg_number_, result.chunk_index);
-          }
-          if (result.message_completed) {
-            sp.on_msg_complete(now, h->msg_number_);
-          }
-        }
         if (h->posted_at_s_ >= 0.0 &&
             (result.chunk_completed && chunk_completion_hist_.live())) {
           chunk_completion_hist_.record(sim_now().seconds() -

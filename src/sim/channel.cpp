@@ -41,31 +41,17 @@ void Channel::register_metrics() {
   });
 }
 
-void Channel::trace_packet(telemetry::TraceEventType type,
-                           const Packet& packet) {
+void Channel::emit_wire(telemetry::EventKind kind, const Packet& packet) {
   // The channel cannot decode the SDR immediate, so wire-level events carry
-  // the raw imm (and destination QP) for the trace join; non-verbs payloads
-  // trace with sentinel fields only.
-  std::uint32_t qp = 0;
-  std::uint32_t imm = telemetry::kNoImm;
+  // the raw imm (and destination QP) for the trace and span joins;
+  // non-verbs payloads carry sentinel fields only.
+  telemetry::Event e{.kind = kind, .t = sim_.now(), .bytes = packet.bytes};
   if (const auto* wire = std::get_if<verbs::WirePacket>(&packet.payload)) {
-    qp = wire->dst_qp;
-    imm = wire->imm;
+    e.conn = wire->dst_qp;
+    e.imm = wire->imm;
+    e.carries_imm = verbs::carries_imm(wire->opcode);
   }
-  telemetry::tracer().emit(sim_.now(), type, qp, telemetry::kNoMsg,
-                           telemetry::kNoChunk, imm, packet.bytes);
-}
-
-void Channel::span_packet(telemetry::TraceEventType type,
-                          const Packet& packet) {
-  // Span attempts are keyed by the wire immediate; only packets that carry
-  // one (SDR data writes/sends) can join — control datagrams and RC ACKs
-  // would alias imm 0 otherwise.
-  if (const auto* wire = std::get_if<verbs::WirePacket>(&packet.payload)) {
-    if (verbs::carries_imm(wire->opcode)) {
-      telemetry::spans().on_wire(sim_.now(), type, wire->imm);
-    }
-  }
+  telemetry::emit(e);
 }
 
 std::size_t Channel::queue_backlog_bytes() const {
@@ -79,9 +65,7 @@ void Channel::send(Packet packet) {
   packet.id = next_packet_id_++;
   ++stats_.sent_packets;
   stats_.sent_bytes += packet.bytes;
-  if (telemetry::tracing()) {
-    trace_packet(telemetry::TraceEventType::kTx, packet);
-  }
+  if (telemetry::armed()) emit_wire(telemetry::EventKind::kWireTx, packet);
 
   // Egress buffer: tail-drop when the serializer backlog would overflow
   // the configured queue capacity (congestion loss).
@@ -89,11 +73,8 @@ void Channel::send(Packet packet) {
       queue_backlog_bytes() + packet.bytes > config_.queue_capacity_bytes) {
     ++stats_.dropped_packets;
     ++stats_.queue_drops;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kQueueDrop, packet);
-    }
-    if (telemetry::spanning()) {
-      span_packet(telemetry::TraceEventType::kQueueDrop, packet);
+    if (telemetry::armed()) {
+      emit_wire(telemetry::EventKind::kWireQueueDrop, packet);
     }
     return;
   }
@@ -106,11 +87,8 @@ void Channel::send(Packet packet) {
 
   if (drop_model_->should_drop(rng_, packet.bytes)) {
     ++stats_.dropped_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kDropped, packet);
-    }
-    if (telemetry::spanning()) {
-      span_packet(telemetry::TraceEventType::kDropped, packet);
+    if (telemetry::armed()) {
+      emit_wire(telemetry::EventKind::kWireDropped, packet);
     }
     return;  // the bits still occupied the wire; they just never arrive
   }
@@ -121,8 +99,8 @@ void Channel::send(Packet packet) {
       rng_.bernoulli(config_.reorder_probability)) {
     reordered = true;
     ++stats_.reordered_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kReordered, packet);
+    if (telemetry::armed()) {
+      emit_wire(telemetry::EventKind::kWireReordered, packet);
     }
     arrival += SimTime::from_seconds(config_.reorder_extra_delay_s);
   }
@@ -136,8 +114,8 @@ void Channel::send(Packet packet) {
   const std::uint32_t slot = acquire_slot(std::move(packet));
   if (duplicate) {
     ++stats_.duplicated_packets;
-    if (telemetry::tracing()) {
-      trace_packet(telemetry::TraceEventType::kDuplicated, pool_[slot].pkt);
+    if (telemetry::armed()) {
+      emit_wire(telemetry::EventKind::kWireDuplicated, pool_[slot].pkt);
     }
     const std::uint32_t copy = acquire_slot_copy(slot);
     sim_.schedule_at(arrival + propagation_,
@@ -242,11 +220,8 @@ void Channel::deliver_slot(std::uint32_t slot) {
   // the callback may send on this channel again (protocol loops), which
   // can grow the pool and would invalidate any reference into it.
   Packet packet = std::move(pool_[slot].pkt);
-  if (telemetry::tracing()) {
-    trace_packet(telemetry::TraceEventType::kDelivered, packet);
-  }
-  if (telemetry::spanning()) {
-    span_packet(telemetry::TraceEventType::kDelivered, packet);
+  if (telemetry::armed()) {
+    emit_wire(telemetry::EventKind::kWireDelivered, packet);
   }
   pool_[slot].next_free = free_head_;
   free_head_ = slot;

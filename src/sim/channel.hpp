@@ -128,8 +128,7 @@ class Channel {
   void fifo_grow();
   void drain_fifo();
   void register_metrics();
-  void trace_packet(telemetry::TraceEventType type, const Packet& packet);
-  void span_packet(telemetry::TraceEventType type, const Packet& packet);
+  void emit_wire(telemetry::EventKind kind, const Packet& packet);
 
   Simulator& sim_;
   Config config_;

@@ -5,21 +5,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_flight_on = false;
-}  // namespace detail
-
-namespace {
-
-FlightRecorder& default_flight() {
-  static FlightRecorder instance;
-  return instance;
-}
-
-thread_local FlightRecorder* t_flight = nullptr;
-
-}  // namespace
-
 const char* to_string(FlightLayer layer) {
   switch (layer) {
     case FlightLayer::kSr: return "sr";
@@ -34,13 +19,13 @@ void FlightRecorder::arm(std::size_t per_conn_capacity) {
   per_conn_ = per_conn_capacity == 0 ? 1 : per_conn_capacity;
   rings_.clear();
   armed_ = true;
-  if (this == &flight()) detail::g_flight_on = true;
+  detail::sync_armed();
 }
 
 void FlightRecorder::disarm() {
   armed_ = false;
   rings_.clear();
-  if (this == &flight()) detail::g_flight_on = false;
+  detail::sync_armed();
 }
 
 void FlightRecorder::clear() { rings_.clear(); }
@@ -115,17 +100,6 @@ std::string FlightRecorder::to_json() const {
   }
   out.append("]}\n");
   return out;
-}
-
-FlightRecorder& flight() {
-  return t_flight != nullptr ? *t_flight : default_flight();
-}
-
-FlightRecorder* set_thread_flight(FlightRecorder* f) {
-  FlightRecorder* prev = t_flight;
-  t_flight = f;
-  detail::g_flight_on = flight().armed();
-  return prev;
 }
 
 }  // namespace sdr::telemetry

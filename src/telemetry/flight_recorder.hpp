@@ -10,11 +10,9 @@
 // postmortem view.
 //
 // Records are PODs with a static-string tag and three generic operand
-// slots; per-tag operand meaning is documented at the record sites and in
-// DESIGN.md §4f. Same zero-overhead-when-disabled contract as the tracer:
-// `flight_recording()` is a plain thread-local bool load, and record sites
-// are guarded by it, so the disarmed recorder costs one never-taken branch
-// and zero allocations.
+// slots. The recorder is one sink of the telemetry event stream
+// (event.hpp): the routing table there names each event's tag and operands,
+// and DESIGN.md §4f documents their meaning.
 #pragma once
 
 #include <cstdint>
@@ -23,17 +21,9 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "telemetry/context.hpp"
 
 namespace sdr::telemetry {
-
-namespace detail {
-// Mirrors the *current thread's* flight-recorder armed state. constinit
-// (here and on the other fast flags) keeps cross-TU reads a bare TLS load:
-// without it the compiler must route every access through the dynamic-init
-// guard, which costs a branch per guard check and miscompiles under
-// -fsanitize=null on GCC 12 (stale-flags branch into the null trap).
-extern thread_local constinit bool g_flight_on;
-}  // namespace detail
 
 enum class FlightLayer : std::uint8_t { kSr, kEc, kRc, kSdr };
 
@@ -88,13 +78,5 @@ class FlightRecorder {
   std::size_t per_conn_{128};
   std::map<std::uint64_t, Ring> rings_;  // ordered: deterministic JSON
 };
-
-/// The calling thread's current flight recorder (set_thread_flight override
-/// or the process-wide default).
-FlightRecorder& flight();
-FlightRecorder* set_thread_flight(FlightRecorder* f);
-
-/// True when this thread's flight recorder accepts records; one branch.
-inline bool flight_recording() { return detail::g_flight_on; }
 
 }  // namespace sdr::telemetry

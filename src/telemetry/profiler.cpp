@@ -8,21 +8,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_profiling_on = false;
-}  // namespace detail
-
-namespace {
-
-Profiler& default_profiler() {
-  static Profiler instance;
-  return instance;
-}
-
-thread_local Profiler* t_profiler = nullptr;
-
-}  // namespace
-
 const char* to_string(ProfCategory category) {
   switch (category) {
     case ProfCategory::kSim: return "sim";
@@ -49,13 +34,13 @@ void Profiler::arm() {
   depth_ = 0;
   last_mark_ns_ = now_ns();
   armed_ = true;
-  if (this == &profiler()) detail::g_profiling_on = true;
+  detail::sync_armed();
 }
 
 void Profiler::disarm() {
   armed_ = false;
   depth_ = 0;
-  if (this == &profiler()) detail::g_profiling_on = false;
+  detail::sync_armed();
 }
 
 void Profiler::clear() {
@@ -126,17 +111,6 @@ std::string Profiler::table() const {
   }
   if (order.empty()) out.append("(no profiled handler fired)\n");
   return out;
-}
-
-Profiler& profiler() {
-  return t_profiler != nullptr ? *t_profiler : default_profiler();
-}
-
-Profiler* set_thread_profiler(Profiler* p) {
-  Profiler* prev = t_profiler;
-  t_profiler = p;
-  detail::g_profiling_on = profiler().armed();
-  return prev;
 }
 
 }  // namespace sdr::telemetry

@@ -14,22 +14,18 @@
 // entering and leaving a nested scope costs two reads total, not four.
 //
 // Same zero-overhead-when-disabled contract as the rest of telemetry:
-// `profiling()` is a plain thread-local bool load, and a disarmed profiler
-// costs one never-taken branch per instrumented handler. Surfaced as a
-// `--profile` table in bench_simcore / bench_datapath.
+// `profiling()` tests a bit of the thread's armed mask (context.hpp), so a
+// disarmed profiler costs one never-taken branch per instrumented handler.
+// Surfaced as a `--profile` table in bench_simcore / bench_datapath.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-namespace sdr::telemetry {
+#include "telemetry/context.hpp"
 
-namespace detail {
-// Mirrors the *current thread's* profiler armed state (kept in sync by
-// Profiler::arm/disarm and set_thread_profiler).
-extern thread_local constinit bool g_profiling_on;
-}  // namespace detail
+namespace sdr::telemetry {
 
 enum class ProfCategory : std::uint8_t {
   kSim,          // event-core dispatch + uninstrumented handlers
@@ -85,14 +81,6 @@ class Profiler {
   std::size_t depth_{0};
   std::uint64_t last_mark_ns_{0};
 };
-
-/// The calling thread's current profiler (set_thread_profiler override or
-/// the process-wide default).
-Profiler& profiler();
-Profiler* set_thread_profiler(Profiler* p);
-
-/// True when this thread's profiler accepts scopes; one plain branch.
-inline bool profiling() { return detail::g_profiling_on; }
 
 /// RAII category scope; no-op (one branch) when the profiler is disarmed.
 class ProfScope {

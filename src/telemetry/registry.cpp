@@ -7,28 +7,13 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_metrics_on = false;
-}  // namespace detail
-
-namespace {
-
-Registry& default_registry() {
-  static Registry instance;
-  return instance;
-}
-
-thread_local Registry* t_registry = nullptr;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
 void Registry::enable() {
   enabled_ = true;
-  if (this == &registry()) detail::g_metrics_on = true;
+  detail::sync_armed();
   SDR_INFO("telemetry registry enabled");
 }
 
@@ -37,7 +22,7 @@ void Registry::disable() {
            entries_.size());
   clear();
   enabled_ = false;
-  if (this == &registry()) detail::g_metrics_on = false;
+  detail::sync_armed();
 }
 
 void Registry::clear() {
@@ -276,21 +261,6 @@ void Scope::bind_gauge(const char* name, std::function<double()> fn) {
 
 void Scope::bind_histogram(const char* name, const Histogram* hist) {
   if (registry_ != nullptr) add(name, MetricKind::kHistogram).hist = hist;
-}
-
-// ---------------------------------------------------------------------------
-// Global registry
-// ---------------------------------------------------------------------------
-
-Registry& registry() {
-  return t_registry != nullptr ? *t_registry : default_registry();
-}
-
-Registry* set_thread_registry(Registry* r) {
-  Registry* prev = t_registry;
-  t_registry = r;
-  detail::g_metrics_on = registry().enabled();
-  return prev;
 }
 
 }  // namespace sdr::telemetry

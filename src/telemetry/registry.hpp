@@ -24,10 +24,10 @@
 // Threading: the registry serves the single-threaded simulator path (like
 // the rest of the sim stack); the threaded DPA engine keeps its own atomics.
 // The "global" accessors registry()/tracer() are per *thread*: each thread
-// resolves them to its own installed instance (set_thread_registry /
-// ScopedTelemetry), falling back to the process-wide default. The sweep
-// engine installs one private Registry+Tracer per trial, so parallel trials
-// never share telemetry state and registration/freeze need no locks.
+// resolves them to its own installed instance (ScopedTelemetry,
+// context.hpp), falling back to the process-wide default. The sweep engine
+// installs one private Registry+Tracer per trial, so parallel trials never
+// share telemetry state and registration/freeze need no locks.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +38,9 @@
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "telemetry/context.hpp"
 
 namespace sdr::telemetry {
-
-namespace detail {
-// Mirrors the *current thread's* registry enabled state (kept in sync by
-// Registry::enable/disable and set_thread_registry).
-extern thread_local constinit bool g_metrics_on;
-}  // namespace detail
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -234,18 +229,5 @@ class Scope {
   std::uint64_t generation_{0};
   std::vector<std::size_t> positions_;
 };
-
-/// The calling thread's current registry: the instance installed with
-/// set_thread_registry, or the process-wide default when none is installed.
-Registry& registry();
-
-/// Install `r` as the calling thread's current registry (nullptr restores
-/// the process-wide default) and resync detail::g_metrics_on to it. Returns
-/// the previously installed override so callers can nest/restore; prefer
-/// the ScopedTelemetry RAII guard (telemetry.hpp).
-Registry* set_thread_registry(Registry* r);
-
-/// True when the calling thread's registry accepts registrations.
-inline bool enabled() { return detail::g_metrics_on; }
 
 }  // namespace sdr::telemetry

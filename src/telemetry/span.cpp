@@ -9,21 +9,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_spans_on = false;
-}  // namespace detail
-
-namespace {
-
-SpanRecorder& default_spans() {
-  static SpanRecorder instance;
-  return instance;
-}
-
-thread_local SpanRecorder* t_spans = nullptr;
-
-}  // namespace
-
 const char* to_string(SpanKind kind) {
   switch (kind) {
     case SpanKind::kMessage: return "message";
@@ -57,7 +42,7 @@ void SpanRecorder::arm(std::size_t capacity) {
   open_chunks_.clear();
   open_attempts_.clear();
   armed_ = true;
-  if (this == &spans()) detail::g_spans_on = true;
+  detail::sync_armed();
   SDR_INFO("span recorder armed (pool capacity %zu spans)", capacity);
 }
 
@@ -74,7 +59,7 @@ void SpanRecorder::disarm() {
   open_msgs_.clear();
   open_chunks_.clear();
   open_attempts_.clear();
-  if (this == &spans()) detail::g_spans_on = false;
+  detail::sync_armed();
 }
 
 void SpanRecorder::clear() {
@@ -455,17 +440,6 @@ std::string SpanRecorder::to_chrome_json() const {
   events.reserve(size_ * 160);
   append_chrome_events(events, /*pid_base=*/1);
   return wrap_chrome_events(events);
-}
-
-SpanRecorder& spans() {
-  return t_spans != nullptr ? *t_spans : default_spans();
-}
-
-SpanRecorder* set_thread_spans(SpanRecorder* s) {
-  SpanRecorder* prev = t_spans;
-  t_spans = s;
-  detail::g_spans_on = spans().armed();
-  return prev;
 }
 
 }  // namespace sdr::telemetry

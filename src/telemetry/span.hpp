@@ -9,12 +9,10 @@
 //
 //   attempt#0 --dropped--> rto_fired --> retransmit --> attempt#1 (delivered)
 //
-// which is exactly the p99.9 outlier loop in Figs 10/13. The recorder is fed
-// from the same emit sites as the tracer via typed hooks (on_posted /
-// on_wire / on_rto / ...) guarded by `telemetry::spanning()` — a plain
-// thread-local bool load, so a disarmed recorder costs one never-taken
-// branch per site and zero allocations, the same contract as the registry
-// and tracer.
+// which is exactly the p99.9 outlier loop in Figs 10/13. The recorder is one
+// sink of the telemetry event stream (event.hpp): the router feeds it
+// through private typed hooks (on_posted / on_wire / on_rto / ...), picked
+// per event kind by its routing table.
 //
 // Spans live in a bounded pool preallocated at arm(); when it fills, new
 // spans are counted as truncated and dropped (existing spans keep closing).
@@ -34,11 +32,7 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-// Mirrors the *current thread's* span-recorder armed state (kept in sync by
-// SpanRecorder::arm/disarm and set_thread_spans).
-extern thread_local constinit bool g_spans_on;
-}  // namespace detail
+struct Event;
 
 using SpanIndex = std::uint32_t;
 inline constexpr SpanIndex kNoSpan = 0xFFFFFFFFu;
@@ -97,7 +91,30 @@ class SpanRecorder {
   /// afterwards belong to it. Track 0 ("default") exists implicitly.
   std::uint16_t track(const std::string& name);
 
-  // ---- typed hooks (call sites guard with telemetry::spanning()) ----
+  // ---- queries ----
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return pool_.size(); }
+  std::uint64_t truncated() const { return truncated_; }
+  const Span& at(SpanIndex i) const { return pool_[i]; }
+  /// Children of `parent` (kNoSpan: root spans), in recording order.
+  std::vector<SpanIndex> children(SpanIndex parent) const;
+  /// Message span index for `msg`, or kNoSpan.
+  SpanIndex find_message(std::uint64_t msg) const;
+
+  // ---- export ----
+  /// Complete Chrome trace-event JSON document:
+  /// {"traceEvents":[...],"displayTimeUnit":"ms"}. Open spans are emitted
+  /// with end = the last observed sim time and outcome "open".
+  std::string to_chrome_json() const;
+  /// The bare event objects (comma-separated, no wrapper), with process ids
+  /// offset by `pid_base` so several recorders merge into one document.
+  void append_chrome_events(std::string& out, int pid_base) const;
+  static std::string wrap_chrome_events(const std::string& events);
+
+ private:
+  friend void emit(const Event& e);
+
+  // ---- typed hooks, called by the event router ----
   /// SDR staged one packet: opens message/chunk spans on demand and a fresh
   /// attempt span. `chunk` is the reliability-layer chunk index
   /// (attr.chunk_size units); `packet` the wire packet index (mtu units).
@@ -125,27 +142,6 @@ class SpanRecorder {
   void on_instant(SimTime t, TraceEventType what, std::uint64_t msg,
                   std::uint32_t chunk);
 
-  // ---- queries ----
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return pool_.size(); }
-  std::uint64_t truncated() const { return truncated_; }
-  const Span& at(SpanIndex i) const { return pool_[i]; }
-  /// Children of `parent` (kNoSpan: root spans), in recording order.
-  std::vector<SpanIndex> children(SpanIndex parent) const;
-  /// Message span index for `msg`, or kNoSpan.
-  SpanIndex find_message(std::uint64_t msg) const;
-
-  // ---- export ----
-  /// Complete Chrome trace-event JSON document:
-  /// {"traceEvents":[...],"displayTimeUnit":"ms"}. Open spans are emitted
-  /// with end = the last observed sim time and outcome "open".
-  std::string to_chrome_json() const;
-  /// The bare event objects (comma-separated, no wrapper), with process ids
-  /// offset by `pid_base` so several recorders merge into one document.
-  void append_chrome_events(std::string& out, int pid_base) const;
-  static std::string wrap_chrome_events(const std::string& events);
-
- private:
   struct ChunkKey {
     std::uint64_t msg;
     std::uint32_t chunk;
@@ -184,17 +180,5 @@ class SpanRecorder {
   std::unordered_map<ChunkKey, OpenChunk, ChunkKeyHash> open_chunks_;
   std::unordered_map<std::uint32_t, SpanIndex> open_attempts_;  // by imm
 };
-
-/// The calling thread's current span recorder: the instance installed with
-/// set_thread_spans, or the process-wide default when none is installed.
-SpanRecorder& spans();
-
-/// Install `s` as the calling thread's current recorder (nullptr restores
-/// the process-wide default) and resync detail::g_spans_on. Returns the
-/// previous override; prefer the ScopedTelemetry RAII guard.
-SpanRecorder* set_thread_spans(SpanRecorder* s);
-
-/// True when this thread's span recorder accepts hooks; one plain branch.
-inline bool spanning() { return detail::g_spans_on; }
 
 }  // namespace sdr::telemetry

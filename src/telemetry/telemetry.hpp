@@ -1,11 +1,20 @@
 // Umbrella header for the telemetry subsystem.
 //
-//   registry()  — hierarchical counters/gauges/histograms, sampled over time
+//   emit()      — the one event stream: every protocol transition is one
+//                 typed Event, routed by one table to the three sinks below
 //   tracer()    — packet-lifecycle event ring with JSONL export
 //   spans()     — causal span tree (msg -> chunk -> attempt) + Perfetto JSON
-//   profiler()  — wall-clock self-time attribution by subsystem category
 //   flight()    — per-connection ring of protocol state transitions
+//   registry()  — hierarchical counters/gauges/histograms, sampled over time
+//   profiler()  — wall-clock self-time attribution by subsystem category
 //   Sampler     — periodic registry snapshots -> CSV/JSONL time series
+//
+// Hot-path contract: one thread-local armed mask (context.hpp) holds a bit
+// per sink. An instrumented transition is one site,
+// `if (telemetry::armed()) telemetry::emit({...});`, whose guard tests the
+// event-sink bits before any event field is evaluated; ProfScope and
+// component registration test their own bits of the same mask. With every
+// sink disarmed each site costs one never-taken branch and no allocation.
 //
 // Typical bring-up (before constructing the instrumented stack):
 //
@@ -14,57 +23,17 @@
 //   telemetry::Sampler sampler(telemetry::registry(), /*period_s=*/1e-3);
 //   sampler.attach(sim);
 //
-// See src/telemetry/registry.hpp for the zero-overhead-when-disabled
-// contract.
-// Both accessors resolve per thread: ScopedTelemetry below installs a
-// private Registry/Tracer pair as the calling thread's current instances,
-// which is how the sweep engine (src/sweep/) gives every trial fully
-// isolated telemetry with no shared globals.
+// The accessors resolve per thread: ScopedTelemetry (context.hpp) installs
+// private instances as the calling thread's context, which is how the sweep
+// engine (src/sweep/) gives every trial fully isolated telemetry with no
+// shared globals.
 #pragma once
 
+#include "telemetry/context.hpp"
+#include "telemetry/event.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/trace.hpp"
-
-namespace sdr::telemetry {
-
-/// RAII guard: makes `reg`/`trc` (and optionally a span recorder, flight
-/// recorder, and profiler) the calling thread's current instances for the
-/// guard's lifetime (any may be nullptr to fall back to the process-wide
-/// default). Restores the previous installation — guards nest. Everything
-/// the guarded code registers or emits through telemetry::registry()/
-/// tracer()/spans()/flight()/profiler() lands in the scoped instances, so
-/// concurrent scopes on different threads cannot interleave.
-class ScopedTelemetry {
- public:
-  ScopedTelemetry(Registry* reg, Tracer* trc, SpanRecorder* sp = nullptr,
-                  FlightRecorder* fl = nullptr, Profiler* pr = nullptr)
-      : prev_registry_(set_thread_registry(reg)),
-        prev_tracer_(set_thread_tracer(trc)),
-        prev_spans_(set_thread_spans(sp)),
-        prev_flight_(set_thread_flight(fl)),
-        prev_profiler_(set_thread_profiler(pr)) {}
-
-  ~ScopedTelemetry() {
-    set_thread_profiler(prev_profiler_);
-    set_thread_flight(prev_flight_);
-    set_thread_spans(prev_spans_);
-    set_thread_tracer(prev_tracer_);
-    set_thread_registry(prev_registry_);
-  }
-
-  ScopedTelemetry(const ScopedTelemetry&) = delete;
-  ScopedTelemetry& operator=(const ScopedTelemetry&) = delete;
-
- private:
-  Registry* prev_registry_;
-  Tracer* prev_tracer_;
-  SpanRecorder* prev_spans_;
-  FlightRecorder* prev_flight_;
-  Profiler* prev_profiler_;
-};
-
-}  // namespace sdr::telemetry

@@ -7,21 +7,6 @@
 
 namespace sdr::telemetry {
 
-namespace detail {
-thread_local constinit bool g_tracing_on = false;
-}  // namespace detail
-
-namespace {
-
-Tracer& default_tracer() {
-  static Tracer instance;
-  return instance;
-}
-
-thread_local Tracer* t_tracer = nullptr;
-
-}  // namespace
-
 const char* to_string(TraceEventType type) {
   switch (type) {
     case TraceEventType::kPosted: return "posted";
@@ -52,7 +37,7 @@ void Tracer::arm(std::size_t capacity) {
   size_ = 0;
   overwritten_ = 0;
   armed_ = true;
-  if (this == &tracer()) detail::g_tracing_on = true;
+  detail::sync_armed();
   SDR_INFO("packet tracer armed (ring capacity %zu events)", capacity);
 }
 
@@ -66,7 +51,7 @@ void Tracer::disarm() {
   head_ = 0;
   size_ = 0;
   overwritten_ = 0;
-  if (this == &tracer()) detail::g_tracing_on = false;
+  detail::sync_armed();
 }
 
 void Tracer::clear() {
@@ -154,17 +139,6 @@ std::string Tracer::to_jsonl(const std::vector<TraceEvent>& events) {
   out.reserve(events.size() * 96);
   for (const TraceEvent& e : events) append_event_json(out, e);
   return out;
-}
-
-Tracer& tracer() {
-  return t_tracer != nullptr ? *t_tracer : default_tracer();
-}
-
-Tracer* set_thread_tracer(Tracer* t) {
-  Tracer* prev = t_tracer;
-  t_tracer = t;
-  detail::g_tracing_on = tracer().armed();
-  return prev;
 }
 
 }  // namespace sdr::telemetry

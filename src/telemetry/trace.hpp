@@ -12,9 +12,9 @@
 //     raw wire `imm` (and dst QP); `chunk_timeline` joins both via the OR of
 //     (msg, chunk) and imm equality.
 //
-// Hot-path contract: `tracing()` is a plain bool load; every emit site is
-// `if (telemetry::tracing()) { ... }` so a disarmed tracer costs one
-// never-taken branch per event site and zero allocations either way.
+// The tracer is one sink of the telemetry event stream (event.hpp): the
+// router writes one ring entry per routed event, and the ring is
+// preallocated at arm(), so recording allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +22,9 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "telemetry/context.hpp"
 
 namespace sdr::telemetry {
-
-namespace detail {
-// Mirrors the *current thread's* tracer armed state (kept in sync by
-// Tracer::arm/disarm and set_thread_tracer).
-extern thread_local constinit bool g_tracing_on;
-}  // namespace detail
 
 /// Sentinels for fields an event's layer cannot know.
 inline constexpr std::uint64_t kNoMsg = ~std::uint64_t{0};
@@ -149,17 +144,5 @@ class Tracer {
   std::size_t size_{0};
   std::uint64_t overwritten_{0};
 };
-
-/// The calling thread's current tracer: the instance installed with
-/// set_thread_tracer, or the process-wide default when none is installed.
-Tracer& tracer();
-
-/// Install `t` as the calling thread's current tracer (nullptr restores the
-/// process-wide default) and resync detail::g_tracing_on to it. Returns the
-/// previous override; prefer the ScopedTelemetry RAII guard (telemetry.hpp).
-Tracer* set_thread_tracer(Tracer* t);
-
-/// True when this thread's tracer accepts events; one predictable branch.
-inline bool tracing() { return detail::g_tracing_on; }
 
 }  // namespace sdr::telemetry

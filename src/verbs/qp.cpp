@@ -199,23 +199,14 @@ void Qp::send_packet(WirePacket&& pkt, bool count_retransmission) {
   stats_.bytes_sent += pkt.payload.size();
   if (count_retransmission) {
     ++stats_.rc_retransmissions;
-    if (telemetry::tracing()) {
+    if (telemetry::armed()) {
       // PSN stands in for the chunk id at the RC transport level.
-      telemetry::tracer().emit(nic_.simulator().now(),
-                               telemetry::TraceEventType::kRetransmit, num_,
-                               telemetry::kNoMsg, pkt.psn, pkt.imm,
-                               pkt.payload.size());
-    }
-    if (telemetry::spanning()) {
-      telemetry::spans().on_instant(nic_.simulator().now(),
-                                    telemetry::TraceEventType::kRetransmit,
-                                    telemetry::kNoMsg, pkt.psn);
-    }
-    if (telemetry::flight_recording()) {
-      telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                 "rc_retransmit", nic_.simulator().now(),
-                                 telemetry::kNoMsg, pkt.psn,
-                                 pkt.payload.size());
+      telemetry::emit({.kind = telemetry::EventKind::kRcRetransmit,
+                       .t = nic_.simulator().now(),
+                       .conn = num_,
+                       .chunk = pkt.psn,
+                       .imm = pkt.imm,
+                       .bytes = pkt.payload.size()});
     }
   }
   // First transmissions pay the modeled injection cost; retransmissions are
@@ -405,22 +396,9 @@ void Qp::receive_rc(WirePacket&& pkt) {
 
   if (pkt.psn != rc_epsn_) {
     ++stats_.packets_discarded;
-    if (pkt.psn > rc_epsn_ && !rc_nak_outstanding_) {
+    if (pkt.psn > rc_epsn_) {
       // Gap detected: request Go-Back-N from the expected PSN.
-      rc_nak_outstanding_ = true;
-      ++stats_.rc_naks_sent;
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                   "rc_nak", nic_.simulator().now(),
-                                   telemetry::kNoMsg, rc_epsn_, pkt.psn);
-      }
-      WirePacket nak;
-      nak.dst_nic = remote_nic_;
-      nak.dst_qp = pkt.src_qp;
-      nak.src_qp = num_;
-      nak.psn = rc_epsn_;
-      nak.opcode = Opcode::kNak;
-      nic_.send_packet(std::move(nak));
+      rc_send_nak(pkt.src_qp, pkt.psn);
     } else if (pkt.psn < rc_epsn_) {
       // Duplicate from a rewind: re-ACK to move the sender forward.
       rc_receiver_maybe_ack(/*force=*/true);
@@ -529,22 +507,7 @@ void Qp::rc_sr_receive(WirePacket&& pkt) {
     // out-of-order send is NAKed like Go-Back-N.
     if (pkt.psn != rc_epsn_) {
       ++stats_.packets_discarded;
-      if (!rc_nak_outstanding_) {
-        rc_nak_outstanding_ = true;
-        ++stats_.rc_naks_sent;
-        if (telemetry::flight_recording()) {
-          telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                     "rc_nak", nic_.simulator().now(),
-                                     telemetry::kNoMsg, rc_epsn_, pkt.psn);
-        }
-        WirePacket nak;
-        nak.dst_nic = remote_nic_;
-        nak.dst_qp = pkt.src_qp;
-        nak.src_qp = num_;
-        nak.psn = rc_epsn_;
-        nak.opcode = Opcode::kNak;
-        nic_.send_packet(std::move(nak));
-      }
+      rc_send_nak(pkt.src_qp, pkt.psn);
       return;
     }
     rc_nak_outstanding_ = false;
@@ -590,24 +553,28 @@ void Qp::rc_sr_receive(WirePacket&& pkt) {
     rc_receiver_maybe_ack(/*force=*/message_boundary);
   } else {
     rc_ooo_received_.insert(pkt.psn);
-    if (!rc_nak_outstanding_) {
-      rc_nak_outstanding_ = true;
-      ++stats_.rc_naks_sent;
-      if (telemetry::flight_recording()) {
-        telemetry::flight().record(telemetry::FlightLayer::kRc, num_,
-                                   "rc_nak", nic_.simulator().now(),
-                                   telemetry::kNoMsg, rc_epsn_,
-                                   rc_ooo_received_.size());
-      }
-      WirePacket nak;
-      nak.dst_nic = remote_nic_;
-      nak.dst_qp = pkt.src_qp;
-      nak.src_qp = num_;
-      nak.psn = rc_epsn_;  // first missing PSN
-      nak.opcode = Opcode::kNak;
-      nic_.send_packet(std::move(nak));
-    }
+    rc_send_nak(pkt.src_qp, rc_ooo_received_.size());
   }
+}
+
+void Qp::rc_send_nak(QpNumber dst_qp, std::uint64_t seen) {
+  if (rc_nak_outstanding_) return;
+  rc_nak_outstanding_ = true;
+  ++stats_.rc_naks_sent;
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kRcNak,
+                     .t = nic_.simulator().now(),
+                     .conn = num_,
+                     .x = rc_epsn_,
+                     .y = seen});
+  }
+  WirePacket nak;
+  nak.dst_nic = remote_nic_;
+  nak.dst_qp = dst_qp;
+  nak.src_qp = num_;
+  nak.psn = rc_epsn_;
+  nak.opcode = Opcode::kNak;
+  nic_.send_packet(std::move(nak));
 }
 
 void Qp::rc_arm_timer() {
@@ -622,22 +589,13 @@ void Qp::rc_arm_timer() {
 void Qp::rc_on_timeout() {
   telemetry::ProfScope prof(telemetry::ProfCategory::kRc);
   if (rc_unacked_.empty()) return;
-  if (telemetry::tracing()) {
-    telemetry::tracer().emit(nic_.simulator().now(),
-                             telemetry::TraceEventType::kRtoFired, num_,
-                             telemetry::kNoMsg, rc_unacked_.front().pkt.psn);
-  }
-  if (telemetry::spanning()) {
-    telemetry::spans().on_instant(nic_.simulator().now(),
-                                  telemetry::TraceEventType::kRtoFired,
-                                  telemetry::kNoMsg,
-                                  rc_unacked_.front().pkt.psn);
-  }
-  if (telemetry::flight_recording()) {
-    telemetry::flight().record(telemetry::FlightLayer::kRc, num_, "rc_rto",
-                               nic_.simulator().now(), telemetry::kNoMsg,
-                               rc_unacked_.front().pkt.psn,
-                               rc_unacked_.size(), rc_retries_);
+  if (telemetry::armed()) {
+    telemetry::emit({.kind = telemetry::EventKind::kRcRto,
+                     .t = nic_.simulator().now(),
+                     .conn = num_,
+                     .chunk = rc_unacked_.front().pkt.psn,
+                     .x = rc_unacked_.size(),
+                     .y = static_cast<std::uint64_t>(rc_retries_)});
   }
   ++rc_retries_;
   if (rc_retries_ > config_.rc_retry_limit) {

@@ -127,6 +127,10 @@ class Qp {
   void rc_on_timeout();
   void rc_retransmit_from(Psn psn);
   void rc_receiver_maybe_ack(bool force);
+  /// NAKs from rc_epsn_ (the first missing PSN) to `dst_qp` unless a NAK is
+  /// already outstanding; `seen` (the PSN that showed the gap, or the
+  /// out-of-order count) goes to the flight recorder.
+  void rc_send_nak(QpNumber dst_qp, std::uint64_t seen);
 
   Nic& nic_;
   QpNumber num_;
