@@ -64,12 +64,9 @@ void ChunkRetransmitter::send(std::uint64_t number, std::size_t chunk,
     telemetry::emit({.kind = layer_ == telemetry::FlightLayer::kEc
                                  ? telemetry::EventKind::kEcRetransmit
                                  : telemetry::EventKind::kSrRetransmit,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = number,
-                     .chunk = static_cast<std::uint32_t>(chunk),
-                     .bytes = len,
-                     .x = retries_[i]});
+                     .t = sim_.now(), .conn = qp_.control_qp_num(),
+                     .msg = number, .chunk = static_cast<std::uint32_t>(chunk),
+                     .bytes = len, .x = retries_[i]});
   }
   if (!inject_(number, offset, len, retransmission)) return;
   // Karn: a retransmitted chunk's acknowledgment is ambiguous.
@@ -101,10 +98,8 @@ void ChunkRetransmitter::on_rto(std::uint64_t number, std::size_t chunk) {
     telemetry::emit({.kind = layer_ == telemetry::FlightLayer::kEc
                                  ? telemetry::EventKind::kEcRtoFired
                                  : telemetry::EventKind::kSrRtoFired,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = number,
-                     .chunk = static_cast<std::uint32_t>(chunk),
+                     .t = sim_.now(), .conn = qp_.control_qp_num(),
+                     .msg = number, .chunk = static_cast<std::uint32_t>(chunk),
                      .x = retries_[at(number, chunk)],
                      .y = static_cast<std::uint64_t>(rto_s() * 1e6)});
   }

@@ -169,11 +169,8 @@ Status EcSender::write(const std::uint8_t* data, std::size_t length,
   ++inflight_;
   ++stats_.messages;
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kEcWrite,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = base,
-                     .bytes = length,
+    telemetry::emit({.kind = telemetry::EventKind::kEcWrite, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = base, .bytes = length,
                      .x = L});
   }
   return Status::ok();
@@ -212,11 +209,8 @@ void EcSender::enter_fallback(MsgState& msg,
     if (sub >= msg.submessages || retx_.tracking(base + sub)) continue;
     if (telemetry::armed()) {
       telemetry::emit({.kind = telemetry::EventKind::kEcFallback,
-                       .t = sim_.now(),
-                       .conn = qp_.control_qp_num(),
-                       .msg = base,
-                       .chunk = sub,
-                       .x = config_.k});
+                       .t = sim_.now(), .conn = qp_.control_qp_num(),
+                       .msg = base, .chunk = sub, .x = config_.k});
     }
     retx_.start(base + sub, config_.k * chunk_bytes_);
     for (std::size_t c = 0; c < config_.k; ++c) {
@@ -236,10 +230,8 @@ void EcSender::finish(std::uint64_t base) {
     msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   }
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kEcMsgDone,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = base,
+    telemetry::emit({.kind = telemetry::EventKind::kEcMsgDone, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = base,
                      .x = msg.submessages,
                      .y = stats_.fallback_retransmissions});
   }
@@ -492,12 +484,9 @@ void EcReceiver::on_chunk_event(const core::RecvEvent& event) {
   }
   if (telemetry::armed()) {
     telemetry::emit({.kind = telemetry::EventKind::kEcSubRecovered,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = msg.base,
-                     .chunk = static_cast<std::uint32_t>(sub),
-                     .x = msg.subs_recovered,
-                     .y = msg.submessages});
+                     .t = sim_.now(), .conn = qp_.control_qp_num(),
+                     .msg = msg.base, .chunk = static_cast<std::uint32_t>(sub),
+                     .x = msg.subs_recovered, .y = msg.submessages});
   }
   if (msg.fallback) {
     // Tell the sender to stop retransmitting this submessage.
@@ -546,10 +535,8 @@ bool EcReceiver::try_recover(MsgState& msg, std::size_t sub) {
   }
   ++stats_.decoded_submessages;
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kEcRepair,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = data_number,
+    telemetry::emit({.kind = telemetry::EventKind::kEcRepair, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = data_number,
                      .chunk = static_cast<std::uint32_t>(sub)});
   }
   return true;
@@ -575,10 +562,8 @@ void EcReceiver::on_fto(std::uint64_t base) {
   MsgState& msg = *found;
   ++stats_.ftos_fired;
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kEcFtoFired,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = base,
+    telemetry::emit({.kind = telemetry::EventKind::kEcFtoFired, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = base,
                      .x = msg.submessages - msg.subs_recovered,
                      .y = stats_.ftos_fired});
   }
@@ -671,11 +656,8 @@ void EcReceiver::complete(MsgState& msg) {
   }
   if (telemetry::armed()) {
     telemetry::emit({.kind = telemetry::EventKind::kEcMsgComplete,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = base,
-                     .x = msg.submessages,
-                     .y = stats_.decoded_submessages});
+                     .t = sim_.now(), .conn = qp_.control_qp_num(), .msg = base,
+                     .x = msg.submessages, .y = stats_.decoded_submessages});
   }
   if (msg.fto_timer.valid()) sim_.cancel(msg.fto_timer);
   if (msg.global_timer.valid()) sim_.cancel(msg.global_timer);

@@ -97,12 +97,9 @@ Status SrSender::write(const std::uint8_t* data, std::size_t length,
   ++stats_.messages;
   const std::size_t chunks = retx_.chunks(msg_number);
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kSrWrite,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = msg_number,
-                     .bytes = length,
-                     .x = chunks});
+    telemetry::emit({.kind = telemetry::EventKind::kSrWrite, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
+                     .bytes = length, .x = chunks});
   }
 
   for (std::size_t c = 0; c < chunks; ++c) {
@@ -130,12 +127,9 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
       }
       if (telemetry::armed()) {
         telemetry::emit({.kind = telemetry::EventKind::kSrAckApplied,
-                         .t = sim_.now(),
-                         .conn = qp_.control_qp_num(),
-                         .msg = number,
-                         .chunk = msg.cumulative,
-                         .x = retx_.acked(number),
-                         .y = retx_.chunks(number)});
+                         .t = sim_.now(), .conn = qp_.control_qp_num(),
+                         .msg = number, .chunk = msg.cumulative,
+                         .x = retx_.acked(number), .y = retx_.chunks(number)});
       }
       break;
     }
@@ -144,8 +138,7 @@ void SrSender::on_control(const std::uint8_t* data, std::size_t length) {
       for (std::uint32_t chunk : msg.indices) retx_.retransmit(number, chunk);
       if (telemetry::armed()) {
         telemetry::emit({.kind = telemetry::EventKind::kSrNackApplied,
-                         .t = sim_.now(),
-                         .conn = qp_.control_qp_num(),
+                         .t = sim_.now(), .conn = qp_.control_qp_num(),
                          .msg = number,
                          .chunk = msg.indices.empty() ? 0 : msg.indices[0],
                          .x = msg.indices.size()});
@@ -162,10 +155,8 @@ void SrSender::finish(std::uint64_t msg_number) {
   MsgState& msg = slot(msg_number);
   msg_completion_hist_.record(sim_.now().seconds() - msg.write_at_s);
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kSrMsgDone,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = msg_number,
+    telemetry::emit({.kind = telemetry::EventKind::kSrMsgDone, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
                      .x = retx_.chunks(msg_number),
                      .y = stats_.retransmissions});
   }
@@ -282,12 +273,9 @@ void SrReceiver::send_ack(MsgState& msg) {
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.acks_sent;
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kSrAckSent,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = ack.msg_number,
-                     .chunk = ack.cumulative,
-                     .x = ack.selective.size()});
+    telemetry::emit({.kind = telemetry::EventKind::kSrAckSent, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = ack.msg_number,
+                     .chunk = ack.cumulative, .x = ack.selective.size()});
   }
 }
 
@@ -328,12 +316,9 @@ void SrReceiver::maybe_nack(MsgState& msg, std::size_t completed_chunk) {
   control_.send(wire_scratch_.data(), wire_scratch_.size());
   ++stats_.nacks_sent;
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kSrNackSent,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = nack.msg_number,
-                     .chunk = nack.indices.front(),
-                     .x = nack.indices.size()});
+    telemetry::emit({.kind = telemetry::EventKind::kSrNackSent, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = nack.msg_number,
+                     .chunk = nack.indices.front(), .x = nack.indices.size()});
   }
 }
 
@@ -362,10 +347,8 @@ void SrReceiver::complete(MsgState& msg, std::uint64_t msg_number) {
   const std::uint32_t cumulative = static_cast<std::uint32_t>(msg.chunks);
   send_final_ack(msg_number, cumulative);
   if (telemetry::armed()) {
-    telemetry::emit({.kind = telemetry::EventKind::kSrFinalAck,
-                     .t = sim_.now(),
-                     .conn = qp_.control_qp_num(),
-                     .msg = msg_number,
+    telemetry::emit({.kind = telemetry::EventKind::kSrFinalAck, .t = sim_.now(),
+                     .conn = qp_.control_qp_num(), .msg = msg_number,
                      .chunk = cumulative});
   }
   for (std::size_t r = 1; r < config_.final_ack_repeats; ++r) {

@@ -387,14 +387,11 @@ void Qp::inject(SendHandle* handle, const std::uint8_t* data,
     // re-send.
     if (telemetry::armed()) {
       telemetry::emit(
-          {.kind = telemetry::EventKind::kPosted,
-           .t = sim_now(),
+          {.kind = telemetry::EventKind::kPosted, .t = sim_now(),
            .conn = remote_data_qps_[gen * attr_.channels + channel],
            .msg = handle->msg_number_,
            .chunk = static_cast<std::uint32_t>(byte_off / attr_.chunk_size),
-           .packet = packet_index,
-           .imm = imm,
-           .bytes = chunk});
+           .packet = packet_index, .imm = imm, .bytes = chunk});
     }
 
     if (attr_.transport == Transport::kUd) {
@@ -590,10 +587,8 @@ void Qp::on_control_cqe() {
       control_qp_->post_recv(rwr);
       ++stats_.cts_received;
       if (telemetry::armed()) {
-        telemetry::emit({.kind = telemetry::EventKind::kCts,
-                         .t = sim_now(),
-                         .conn = control_qp_->num(),
-                         .msg = cts.msg_number});
+        telemetry::emit({.kind = telemetry::EventKind::kCts, .t = sim_now(),
+                         .conn = control_qp_->num(), .msg = cts.msg_number});
       }
 
       // Order-based matching: the in-flight send for this msg_number, if
@@ -671,27 +666,21 @@ void Qp::on_data_cqe(std::size_t qp_index) {
       if (telemetry::armed()) {
         // A completion for a recycled handle has no message: traced, but
         // it drives no span.
-        telemetry::Event e{.kind = telemetry::EventKind::kCqe,
-                           .t = sim_now(),
+        telemetry::Event e{.kind = telemetry::EventKind::kCqe, .t = sim_now(),
                            .conn = data_qps_[qp_index]->num(),
                            .msg = h->in_use_ ? h->msg_number_
                                              : telemetry::kNoMsg,
-                           .packet = fields.packet_index,
-                           .imm = cqe.imm,
+                           .packet = fields.packet_index, .imm = cqe.imm,
                            .bytes = cqe.byte_len};
         telemetry::emit(e);
         if (result.chunk_completed) {
           telemetry::emit({.kind = telemetry::EventKind::kChunkCompleted,
-                           .t = e.t,
-                           .conn = e.conn,
-                           .msg = e.msg,
+                           .t = e.t, .conn = e.conn, .msg = e.msg,
                            .chunk = result.chunk_index});
         }
         if (result.message_completed) {
           telemetry::emit({.kind = telemetry::EventKind::kMsgCompleted,
-                           .t = e.t,
-                           .conn = e.conn,
-                           .msg = e.msg});
+                           .t = e.t, .conn = e.conn, .msg = e.msg});
         }
       }
       if (h->in_use_) {

@@ -23,194 +23,92 @@ enum class SpanHook : std::uint8_t {
   kInstant,      // any other decision, named by the row's trace type
 };
 
-/// The event field a recorded column comes from.
-enum class Field : std::uint8_t { kZero, kChunk, kPacket, kBytes, kX, kY };
+/// The event field a flight operand comes from.
+enum class Field : std::uint8_t { kZero, kChunk, kBytes, kX, kY };
 
 struct Route {
   EventKind kind{};
-  std::optional<TraceEventType> trace{};  // absent: not traced
-  bool trace_qp_zero{false};  // reliability-layer rows trace qp 0
-  Field trace_chunk{Field::kChunk};
+  FlightLayer layer{};
+  std::optional<TraceEventType> trace{};  // nullopt: not traced
   SpanHook span{SpanHook::kNone};
   const char* flight{nullptr};  // flight tag; nullptr: not recorded
-  FlightLayer layer{FlightLayer::kSr};
   Field a{Field::kZero};
   Field b{Field::kZero};
   Field c{Field::kZero};
 };
 
 using K = EventKind;
+using L = FlightLayer;
 using T = TraceEventType;
 using H = SpanHook;
 using F = Field;
-using L = FlightLayer;
+constexpr std::optional<TraceEventType> kUntraced{};
 
-// One row per EventKind, in enum order.
+// One row per EventKind, in enum order: kind, reporting layer, tracer event
+// type, span hook, then the flight tag and its a/b/c operands. SR and EC
+// rows trace qp 0, keyed by message alone, and flight-record under the
+// control QP; every other layer traces the event's QP.
 constexpr Route kRoutes[] = {
-    {.kind = K::kPosted,
-     .trace = T::kPosted,
-     .trace_chunk = F::kPacket,
-     .span = H::kPosted},
-    {.kind = K::kCts, .trace = T::kCts, .span = H::kInstant},
-    {.kind = K::kCqe, .trace = T::kCqe, .trace_chunk = F::kPacket},
-    {.kind = K::kChunkCompleted,
-     .trace = T::kBitmapUpdate,
-     .span = H::kChunkDone},
-    {.kind = K::kMsgCompleted,
-     .trace = T::kMsgComplete,
-     .span = H::kMsgComplete},
-    // Reorder and duplicate markers do not end an attempt: tracer only.
-    {.kind = K::kWireTx, .trace = T::kTx},
-    {.kind = K::kWireDropped, .trace = T::kDropped, .span = H::kWire},
-    {.kind = K::kWireQueueDrop, .trace = T::kQueueDrop, .span = H::kWire},
-    {.kind = K::kWireReordered, .trace = T::kReordered},
-    {.kind = K::kWireDuplicated, .trace = T::kDuplicated},
-    {.kind = K::kWireDelivered, .trace = T::kDelivered, .span = H::kWire},
-    {.kind = K::kSrWrite,
-     .flight = "write",
-     .layer = L::kSr,
-     .a = F::kBytes,
-     .b = F::kX},
-    {.kind = K::kSrAckApplied,
-     .flight = "ack_applied",
-     .layer = L::kSr,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kY},
-    {.kind = K::kSrNackApplied,
-     .flight = "nack_applied",
-     .layer = L::kSr,
-     .a = F::kX,
-     .b = F::kChunk},
-    {.kind = K::kSrMsgDone,
-     .flight = "msg_done",
-     .layer = L::kSr,
-     .a = F::kX,
-     .b = F::kY},
-    {.kind = K::kSrAckSent,
-     .trace = T::kAckSent,
-     .trace_qp_zero = true,
-     .span = H::kInstant,
-     .flight = "ack_sent",
-     .layer = L::kSr,
-     .a = F::kChunk,
-     .b = F::kX},
-    {.kind = K::kSrNackSent,
-     .trace = T::kNackSent,
-     .trace_qp_zero = true,
-     .span = H::kInstant,
-     .flight = "nack_sent",
-     .layer = L::kSr,
-     .a = F::kX,
-     .b = F::kChunk},
+    // SDR engine and the wire under it: no flight record. Reorder and
+    // duplicate markers do not end an attempt, so they drive no span.
+    {K::kPosted, L::kSdr, T::kPosted, H::kPosted},
+    {K::kCts, L::kSdr, T::kCts, H::kInstant},
+    {K::kCqe, L::kSdr, T::kCqe},
+    {K::kChunkCompleted, L::kSdr, T::kBitmapUpdate, H::kChunkDone},
+    {K::kMsgCompleted, L::kSdr, T::kMsgComplete, H::kMsgComplete},
+    {K::kWireTx, L::kSdr, T::kTx},
+    {K::kWireDropped, L::kSdr, T::kDropped, H::kWire},
+    {K::kWireQueueDrop, L::kSdr, T::kQueueDrop, H::kWire},
+    {K::kWireReordered, L::kSdr, T::kReordered},
+    {K::kWireDuplicated, L::kSdr, T::kDuplicated},
+    {K::kWireDelivered, L::kSdr, T::kDelivered, H::kWire},
+    // Selective repeat.
+    {K::kSrWrite, L::kSr, kUntraced, H::kNone,
+     "write", F::kBytes, F::kX},
+    {K::kSrAckApplied, L::kSr, kUntraced, H::kNone,
+     "ack_applied", F::kChunk, F::kX, F::kY},
+    {K::kSrNackApplied, L::kSr, kUntraced, H::kNone,
+     "nack_applied", F::kX, F::kChunk},
+    {K::kSrMsgDone, L::kSr, kUntraced, H::kNone,
+     "msg_done", F::kX, F::kY},
+    {K::kSrAckSent, L::kSr, T::kAckSent, H::kInstant,
+     "ack_sent", F::kChunk, F::kX},
+    {K::kSrNackSent, L::kSr, T::kNackSent, H::kInstant,
+     "nack_sent", F::kX, F::kChunk},
     // The final ACK follows the message's completion, after its spans have
-    // closed: traced and flight-recorded, no span.
-    {.kind = K::kSrFinalAck,
-     .trace = T::kAckSent,
-     .trace_qp_zero = true,
-     .flight = "msg_complete",
-     .layer = L::kSr,
-     .a = F::kChunk},
-    {.kind = K::kSrRetransmit,
-     .trace = T::kRetransmit,
-     .trace_qp_zero = true,
-     .span = H::kRetransmit,
-     .flight = "retransmit",
-     .layer = L::kSr,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kBytes},
-    {.kind = K::kSrRtoFired,
-     .trace = T::kRtoFired,
-     .trace_qp_zero = true,
-     .span = H::kRto,
-     .flight = "rto_fired",
-     .layer = L::kSr,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kY},
-    {.kind = K::kEcWrite,
-     .flight = "write",
-     .layer = L::kEc,
-     .a = F::kBytes,
-     .b = F::kX},
-    {.kind = K::kEcFallback,
-     .trace = T::kEcFallback,
-     .trace_qp_zero = true,
-     .span = H::kInstant,
-     .flight = "enter_fallback",
-     .layer = L::kEc,
-     .a = F::kChunk,
-     .b = F::kX},
-    {.kind = K::kEcMsgDone,
-     .flight = "msg_done",
-     .layer = L::kEc,
-     .a = F::kX,
-     .b = F::kY},
-    {.kind = K::kEcSubRecovered,
-     .flight = "sub_recovered",
-     .layer = L::kEc,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kY},
-    {.kind = K::kEcRepair,
-     .trace = T::kEcRepair,
-     .trace_qp_zero = true,
-     .span = H::kInstant,
-     .flight = "ec_repair",
-     .layer = L::kEc,
-     .a = F::kChunk},
-    {.kind = K::kEcFtoFired,
-     .trace = T::kRtoFired,
-     .trace_qp_zero = true,
-     .span = H::kRto,
-     .flight = "fto_fired",
-     .layer = L::kEc,
-     .a = F::kX,
-     .b = F::kY},
-    {.kind = K::kEcMsgComplete,
-     .flight = "msg_complete",
-     .layer = L::kEc,
-     .a = F::kX,
-     .b = F::kY},
-    {.kind = K::kEcRetransmit,
-     .trace = T::kRetransmit,
-     .trace_qp_zero = true,
-     .span = H::kRetransmit,
-     .flight = "retransmit",
-     .layer = L::kEc,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kBytes},
-    {.kind = K::kEcRtoFired,
-     .trace = T::kRtoFired,
-     .trace_qp_zero = true,
-     .span = H::kRto,
-     .flight = "rto_fired",
-     .layer = L::kEc,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kY},
-    {.kind = K::kRcRetransmit,
-     .trace = T::kRetransmit,
-     .span = H::kInstant,
-     .flight = "rc_retransmit",
-     .layer = L::kRc,
-     .a = F::kChunk,
-     .b = F::kBytes},
-    {.kind = K::kRcNak,
-     .flight = "rc_nak",
-     .layer = L::kRc,
-     .a = F::kX,
-     .b = F::kY},
-    {.kind = K::kRcRto,
-     .trace = T::kRtoFired,
-     .span = H::kInstant,
-     .flight = "rc_rto",
-     .layer = L::kRc,
-     .a = F::kChunk,
-     .b = F::kX,
-     .c = F::kY},
+    // closed: no span.
+    {K::kSrFinalAck, L::kSr, T::kAckSent, H::kNone,
+     "msg_complete", F::kChunk},
+    {K::kSrRetransmit, L::kSr, T::kRetransmit, H::kRetransmit,
+     "retransmit", F::kChunk, F::kX, F::kBytes},
+    {K::kSrRtoFired, L::kSr, T::kRtoFired, H::kRto,
+     "rto_fired", F::kChunk, F::kX, F::kY},
+    // Erasure coding.
+    {K::kEcWrite, L::kEc, kUntraced, H::kNone,
+     "write", F::kBytes, F::kX},
+    {K::kEcFallback, L::kEc, T::kEcFallback, H::kInstant,
+     "enter_fallback", F::kChunk, F::kX},
+    {K::kEcMsgDone, L::kEc, kUntraced, H::kNone,
+     "msg_done", F::kX, F::kY},
+    {K::kEcSubRecovered, L::kEc, kUntraced, H::kNone,
+     "sub_recovered", F::kChunk, F::kX, F::kY},
+    {K::kEcRepair, L::kEc, T::kEcRepair, H::kInstant,
+     "ec_repair", F::kChunk},
+    {K::kEcFtoFired, L::kEc, T::kRtoFired, H::kRto,
+     "fto_fired", F::kX, F::kY},
+    {K::kEcMsgComplete, L::kEc, kUntraced, H::kNone,
+     "msg_complete", F::kX, F::kY},
+    {K::kEcRetransmit, L::kEc, T::kRetransmit, H::kRetransmit,
+     "retransmit", F::kChunk, F::kX, F::kBytes},
+    {K::kEcRtoFired, L::kEc, T::kRtoFired, H::kRto,
+     "rto_fired", F::kChunk, F::kX, F::kY},
+    // RC transport.
+    {K::kRcRetransmit, L::kRc, T::kRetransmit, H::kInstant,
+     "rc_retransmit", F::kChunk, F::kBytes},
+    {K::kRcNak, L::kRc, kUntraced, H::kNone,
+     "rc_nak", F::kX, F::kY},
+    {K::kRcRto, L::kRc, T::kRtoFired, H::kInstant,
+     "rc_rto", F::kChunk, F::kX, F::kY},
 };
 
 constexpr bool rows_in_kind_order() {
@@ -225,7 +123,6 @@ std::uint64_t field(const Event& e, Field f) {
   switch (f) {
     case Field::kZero: return 0;
     case Field::kChunk: return e.chunk;
-    case Field::kPacket: return e.packet;
     case Field::kBytes: return e.bytes;
     case Field::kX: return e.x;
     case Field::kY: return e.y;
@@ -239,9 +136,9 @@ void emit(const Event& e) {
   const Route& r = kRoutes[static_cast<std::size_t>(e.kind)];
   const std::uint8_t armed = detail::t_context.armed;
   if (r.trace && (armed & kTraceArmed) != 0) {
-    tracer().emit(e.t, *r.trace, r.trace_qp_zero ? 0 : e.conn, e.msg,
-                  static_cast<std::uint32_t>(field(e, r.trace_chunk)), e.imm,
-                  e.bytes);
+    const bool reliability = r.layer == L::kSr || r.layer == L::kEc;
+    tracer().emit(e.t, *r.trace, reliability ? 0 : e.conn, e.msg,
+                  e.packet != kNoChunk ? e.packet : e.chunk, e.imm, e.bytes);
   }
   if (r.span != SpanHook::kNone && (armed & kSpansArmed) != 0) {
     SpanRecorder& sp = spans();

@@ -79,7 +79,8 @@ struct Event {
   std::uint32_t conn{0};            // QP that owns the transition
   std::uint64_t msg{kNoMsg};
   std::uint32_t chunk{kNoChunk};    // chunk, submessage or PSN
-  std::uint32_t packet{kNoChunk};   // wire packet index (kPosted, kCqe)
+  std::uint32_t packet{kNoChunk};   // wire packet index (kPosted, kCqe);
+                                    // traced in place of chunk
   std::uint32_t imm{kNoImm};
   bool carries_imm{false};          // wire events: opcode carries imm
   std::uint64_t bytes{0};

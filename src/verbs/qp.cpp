@@ -202,10 +202,8 @@ void Qp::send_packet(WirePacket&& pkt, bool count_retransmission) {
     if (telemetry::armed()) {
       // PSN stands in for the chunk id at the RC transport level.
       telemetry::emit({.kind = telemetry::EventKind::kRcRetransmit,
-                       .t = nic_.simulator().now(),
-                       .conn = num_,
-                       .chunk = pkt.psn,
-                       .imm = pkt.imm,
+                       .t = nic_.simulator().now(), .conn = num_,
+                       .chunk = pkt.psn, .imm = pkt.imm,
                        .bytes = pkt.payload.size()});
     }
   }
@@ -563,9 +561,7 @@ void Qp::rc_send_nak(QpNumber dst_qp, std::uint64_t seen) {
   ++stats_.rc_naks_sent;
   if (telemetry::armed()) {
     telemetry::emit({.kind = telemetry::EventKind::kRcNak,
-                     .t = nic_.simulator().now(),
-                     .conn = num_,
-                     .x = rc_epsn_,
+                     .t = nic_.simulator().now(), .conn = num_, .x = rc_epsn_,
                      .y = seen});
   }
   WirePacket nak;
@@ -591,8 +587,7 @@ void Qp::rc_on_timeout() {
   if (rc_unacked_.empty()) return;
   if (telemetry::armed()) {
     telemetry::emit({.kind = telemetry::EventKind::kRcRto,
-                     .t = nic_.simulator().now(),
-                     .conn = num_,
+                     .t = nic_.simulator().now(), .conn = num_,
                      .chunk = rc_unacked_.front().pkt.psn,
                      .x = rc_unacked_.size(),
                      .y = static_cast<std::uint64_t>(rc_retries_)});
