@@ -579,7 +579,8 @@ TEST(TelemetrySinkDigestTest, EverySinkOutputPinnedAcrossArms) {
     collect_flight_tags(flight_json, tags);
   }
   EXPECT_TRUE(arms.count("sr_rto") && arms.count("sr_nack") &&
-              arms.count("ec") && (arms.count("rc_gbn") || arms.count("rc_sr")));
+              arms.count("ec") &&
+              (arms.count("rc_gbn") || arms.count("rc_sr")));
 
   {
     Tracer trc;
